@@ -13,7 +13,7 @@ Usage shapes:
 
 Every flag has a GERMKIT_* environment variable fallback (GERMKIT_RING,
 GERMKIT_ORDERING, GERMKIT_STRATEGY, GERMKIT_CHAR, GERMKIT_ORDER,
-GERMKIT_JSON, GERMKIT_JOBS, GERMKIT_CEILING, GERMKIT_SEED); flags win.
+GERMKIT_JSON, GERMKIT_CEILING, GERMKIT_SEED); flags win.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 
 Text and JSON outputs are deterministic for a fixed configuration; timing
@@ -26,13 +26,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import GermkitError, ParseError
 from .invariants import (
     HypersurfaceGerm,
     SpaceCurveGerm,
+    _dim_json,
     find_weights,
     ft_germ,
     full_report,
@@ -103,10 +103,11 @@ def _build_parser():
     common.add_argument("--strategy", default=_env("STRATEGY"), metavar="OPTS",
                         help="comma list: sugar|min-lcm-degree|fifo, "
                              "min-ecart|first-found, [no-]product, [no-]chain")
+    # string defaults go through type=int, so a bad variable is a usage error
     common.add_argument("--ceiling", type=int,
-                        default=int(_env("CEILING", str(DEFAULT_CEILING))),
+                        default=_env("CEILING", str(DEFAULT_CEILING)),
                         metavar="N", help="reduction-step ceiling")
-    common.add_argument("--seed", type=int, default=int(_env("SEED", "20250819")),
+    common.add_argument("--seed", type=int, default=_env("SEED", "20250819"),
                         metavar="N", help="seed for randomized suites")
     common.add_argument("--json", action="store_true",
                         default=_env("JSON", "") not in ("", "0"),
@@ -153,8 +154,6 @@ def _build_parser():
                     help="comma list of ordering tokens (default: the ring's)")
     be.add_argument("--strategies", default=None, metavar="S;S",
                     help="semicolon list of strategy option lists")
-    be.add_argument("--jobs", type=int, default=int(_env("JOBS", "1")),
-                    metavar="N", help="parallel configurations")
 
     st = sub.add_parser("selftest", parents=[common],
                         help="run the acceptance criteria")
@@ -299,10 +298,6 @@ def _cmd_invariant(args):
     key = {"milnor": "mu", "tjurina": "tau", "mult": "multiplicity"}[args.command]
     _emit(args, germ.ring, strategy, {key: _dim_json(value)}, _dim_text(value))
     return 0
-
-
-def _dim_json(value):
-    return "infinite" if value is INFINITE else value
 
 
 def _cmd_qh(args):
@@ -490,18 +485,11 @@ def _cmd_bench(args):
             )
             inputs.append(("ideal", decl))
 
-    work = [
-        (label, decl, stext)
+    records = [
+        _bench_one(label, decl, stext, args.ceiling)
         for label, decl in inputs
         for stext in strategy_texts
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(
-                pool.map(lambda w: _bench_one(w[0], w[1], w[2], args.ceiling), work)
-            )
-    else:
-        records = [_bench_one(*w, args.ceiling) for w in work]
 
     by_input = {}
     for r in records:

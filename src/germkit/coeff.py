@@ -8,7 +8,7 @@ coefficients except through it.
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, InvalidCharacteristic, MixedCharacteristic
+from .errors import DivisionByZero, InvalidCharacteristic
 
 DEFAULT_PRIME = 32003  # classical default modulus for modular CAS runs
 
@@ -48,18 +48,6 @@ class Field:
 
     def __hash__(self):
         return hash(("germkit.Field", self.characteristic))
-
-    def arith(self, a, b, op):
-        """Binary arithmetic by name: op in {'add','sub','mul','div'}."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        raise ValueError("unknown op %r" % (op,))
 
 
 class RationalField(Field):
@@ -174,17 +162,3 @@ def field_for(characteristic):
     if f is None:
         f = _prime_fields[characteristic] = PrimeField(characteristic)
     return f
-
-
-def field_arith(field_a, a, field_b, b, op):
-    """Spec-level binary arithmetic that refuses to mix characteristics."""
-    if field_a != field_b:
-        raise MixedCharacteristic(
-            "cannot combine characteristic %r with %r"
-            % (field_a.characteristic, field_b.characteristic)
-        )
-    return field_a.arith(a, b, op)
-
-
-def inverse(field, a):
-    return field.inv(a)

@@ -228,9 +228,15 @@ def is_quasihomogeneous(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
     characteristic zero only, so any positive characteristic yields
     "undetermined" regardless of the counts.
     """
+    return _quasihomogeneity_given_mu(germ, None, strategy=strategy, ceiling=ceiling)
+
+
+def _quasihomogeneity_given_mu(germ, mu, *, strategy=None, ceiling=DEFAULT_CEILING):
+    """is_quasihomogeneous, reusing mu when the caller already computed it."""
     if germ.ring.characteristic:
         return "undetermined"
-    mu = milnor(germ, strategy=strategy, ceiling=ceiling)
+    if mu is None:
+        mu = milnor(germ, strategy=strategy, ceiling=ceiling)
     if mu == INFINITE:
         raise NonIsolated("quasi-homogeneity needs an isolated singularity")
     tau_ = tjurina(germ, strategy=strategy, ceiling=ceiling)

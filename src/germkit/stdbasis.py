@@ -13,7 +13,7 @@ pay a full-length merge per step.
 
 import heapq
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .errors import (
     ComponentMismatch,
@@ -111,75 +111,15 @@ class Stats:
             "millis": self.millis,
         }
 
+    def add(self, other):
+        self.pairs += other.pairs
+        self.discarded += other.discarded
+        self.reductions += other.reductions
+        self.millis += other.millis
+
 
 # ---------------------------------------------------------------------------
-# work-polynomial accumulators
-
-# The lazy heap defers combining equal monomials to pop time: every term
-# costs one C-level heappush and one heappop, with no Python merge loops.
-# Its raw content can briefly hold cancelled pairs, so anything that needs
-# the exact current support (the unbounded tangent-cone path, which reads
-# off ecarts) uses the exact geobucket below instead.  On big truncated
-# runs the geobucket wins outright (list merges beat per-term heap
-# traffic once tails run long), so the bounded path uses it too.
-
-
-class _HeapBucket:
-    __slots__ = ("heap", "p", "_add", "cap")
-
-    def __init__(self, field):
-        self.heap = []
-        self.p = field.characteristic
-        self._add = field.add
-        self.cap = 4096
-
-    def add_ascending(self, terms):
-        h = self.heap
-        push = heapq.heappush
-        for code, coeff in terms:
-            push(h, (-code, coeff))
-        if len(h) > self.cap:
-            self._compact()
-
-    add_descending = add_ascending
-
-    def _compact(self):
-        items = self.drain_descending()
-        self.heap = [(-code, coeff) for code, coeff in items]
-        heapq.heapify(self.heap)
-        self.cap = 4096 + 4 * len(self.heap)
-
-    def pop_lead(self):
-        h = self.heap
-        p = self.p
-        pop = heapq.heappop
-        if p:
-            while h:
-                negcode, coeff = pop(h)
-                while h and h[0][0] == negcode:
-                    coeff += pop(h)[1]
-                    if coeff >= p:
-                        coeff -= p
-                if coeff:
-                    return (-negcode, coeff)
-        else:
-            add = self._add
-            while h:
-                negcode, coeff = pop(h)
-                while h and h[0][0] == negcode:
-                    coeff = add(coeff, pop(h)[1])
-                if coeff:
-                    return (-negcode, coeff)
-        return None
-
-    def drain_descending(self):
-        out = []
-        push = out.append
-        while True:
-            t = self.pop_lead()
-            if t is None:
-                return out
-            push(t)
+# work-polynomial accumulator
 
 
 class _Geobucket:
@@ -313,11 +253,19 @@ class _Entry:
         "rcoeffs",
     )
 
-    def __init__(self, terms, lead, lead_exps, comp, ecart_, sugar, seq):
+    def __init__(self, terms, lay, location, seq, sugar=None, ecart_=None):
+        """A monic reducer; sugar and ecart default to the terms' own."""
+        lead = terms[0][0]
         self.terms = terms
         self.lead = lead
-        self.lead_exps = lead_exps
-        self.comp = comp
+        self.lead_exps = lay.decode_exps(lead)
+        self.comp = lay.component(lead) if lay.comp_div_shift is not None else None
+        if sugar is None or ecart_ is None:
+            top = _terms_max_degree(terms, lay, location)
+            if sugar is None:
+                sugar = top
+            if ecart_ is None:
+                ecart_ = top - lay.degree(lead)
         self.ecart = ecart_
         self.sugar = sugar
         self.seq = seq
@@ -330,6 +278,10 @@ class _Entry:
             self.rcodes = [t[0] for t in tail]
             self.rcoeffs = [t[1] for t in tail]
         return self.rcodes, self.rcoeffs
+
+
+def _scan_key(e):
+    return (e.ecart, len(e.terms), e.seq)
 
 
 def _terms_max_degree(terms, lay, location):
@@ -393,31 +345,60 @@ def spoly(f, g):
         if lay.component(tf[0][0]) != lay.component(tg[0][0]):
             raise ComponentMismatch("leading components differ")
     field = ring.field
-    ef = lay.decode_exps(tf[0][0])
-    eg = lay.decode_exps(tg[0][0])
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    df = lay.encode(tuple(l - a for l, a in zip(lcm, ef))) - lay.code_one
-    dg = lay.encode(tuple(l - b for l, b in zip(lcm, eg))) - lay.code_one
-    cf = field.inv(tf[0][1])
-    cg = field.neg(field.inv(tg[0][1]))
-    over = lay.exp_overflow_mask
-    left = _shift_terms(tf[1:], df, cf, field, over, _HUGE, lay)
-    right = _shift_terms(tg[1:], dg, cg, field, over, _HUGE, lay)
-    return _wrap(f, ring, _merge_add(left, right, field), rank)
+    location = ring.degree_location
+    ef = _Entry(_monic(tf, field), lay, location, 0)
+    eg = _Entry(_monic(tg, field), lay, location, 1)
+    lcm = tuple(max(a, b) for a, b in zip(ef.lead_exps, eg.lead_exps))
+    return _wrap(f, ring, _spoly_terms(ef, eg, lcm, lay, field, _HUGE), rank)
 
 
-def _shift_terms(terms, delta, c, field, over, bound, lay):
-    out = []
-    mul = field.mul
+# ---------------------------------------------------------------------------
+# the elementary step
+
+
+def _monic(terms, field):
+    lc = terms[0][1]
+    return terms if lc == field.one else _scale(terms, field.inv(lc), field)
+
+
+def _shift(codes, coeffs, delta, c, bound, lay, field):
+    """The terms of -c * x^delta * (codes, coeffs) of degree below bound,
+    in the input order (either direction)."""
     shift = lay.deg_shift
     mask = lay.deg_mask
-    for code, coeff in terms:
-        nc = code + delta
+    # with a small degree bound active no packed field can overflow, and a
+    # prime field lets the whole shift run in comprehensions
+    p = field.characteristic if bound <= 4096 else 0
+    if p:
+        m = p - c
+        return [
+            (nc, (m * v) % p)
+            for nc, v in zip([c0 + delta for c0 in codes], coeffs)
+            if ((nc >> shift) & mask) < bound
+        ]
+    m = field.neg(c)
+    over = lay.exp_overflow_mask
+    mul = field.mul
+    out = []
+    push = out.append
+    for k in range(len(codes)):
+        nc = codes[k] + delta
         if nc & over:
             raise ExponentOverflow("monomial product exceeds exponent range")
         if ((nc >> shift) & mask) < bound:
-            out.append((nc, mul(c, coeff)))
+            push((nc, mul(m, coeffs[k])))
     return out
+
+
+def _spoly_terms(ei, ej, lcm_exps, lay, field, bound):
+    """S-polynomial of two monic entries at the lcm of their leads,
+    truncated below bound; the leads cancel, so only tails are shifted."""
+    halves = []
+    for e, c in ((ei, field.neg(field.one)), (ej, field.one)):
+        delta = lay.encode(tuple(l - a for l, a in zip(lcm_exps, e.lead_exps)))
+        rc, rv = e.split_tail()
+        halves.append(_shift(rc, rv, delta - lay.code_one, c, bound, lay, field)[::-1])
+    return _merge_add(halves[0], halves[1], field)
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +431,10 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
     check_mask = lay.div_check_mask
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
-    over = lay.exp_overflow_mask
     decode = lay.decode_exps
     encode = lay.encode
     code_one = lay.code_one
-    mul = field.mul
-    neg = field.neg
     min_ecart = reducer_rule == "min-ecart"
-    # with a small degree bound active no packed field can overflow, and a
-    # prime field lets the whole shift run in comprehensions
-    fastp = field.characteristic if bound <= 4096 else 0
     reds = 0
 
     while True:
@@ -543,15 +518,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
                     snap.extend(_scale(tail, inv, field))
                     bucket.add_descending(tail)
                 extras.append(
-                    _Entry(
-                        snap,
-                        hcode,
-                        decode(hcode),
-                        None,
-                        h_ecart,
-                        sugar,
-                        _HUGE + len(extras),
-                    )
+                    _Entry(snap, lay, location, _HUGE + len(extras), sugar, h_ecart)
                 )
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic)
@@ -559,26 +526,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
         delta = encode(tuple(a - b for a, b in zip(hexps, best.lead_exps))) - code_one
         rc, rv = best.split_tail()
         if rc:
-            if fastp:
-                m = fastp - hcoeff
-                asc = [
-                    (cc, (m * v) % fastp)
-                    for cc, v in zip([c0 + delta for c0 in rc], rv)
-                    if ((cc >> deg_shift) & deg_mask) < bound
-                ]
-            else:
-                c = neg(hcoeff)
-                asc = []
-                push = asc.append
-                for k in range(len(rc)):
-                    nc = rc[k] + delta
-                    if nc & over:
-                        raise ExponentOverflow(
-                            "monomial product exceeds exponent range"
-                        )
-                    if ((nc >> deg_shift) & deg_mask) < bound:
-                        push((nc, mul(c, rv[k])))
-            bucket.add_ascending(asc)
+            bucket.add_ascending(_shift(rc, rv, delta, hcoeff, bound, lay, field))
         qdeg = (delta + code_one >> deg_shift) & deg_mask
         s2 = best.sugar + qdeg
         if s2 > sugar:
@@ -611,7 +559,6 @@ class _StdEngine:
         self.heap = []
         self.pair_seq = 0
         self.truncation = truncation
-        self.tail_reduction = False
         self.scan_order = []
         self.bound = jet if jet is not None else _HUGE
         self.pure = [_HUGE] * ring.n
@@ -692,11 +639,10 @@ class _StdEngine:
         lay = self.lay
         entries = self.entries
         t = len(entries)
-        lead = terms[0][0]
-        lead_exps = lay.decode_exps(lead)
-        comp = lay.component(lead) if self.rank is not None else None
-        ecart_ = _terms_max_degree(terms, lay, self.location) - lay.degree(lead)
-        entry = _Entry(terms, lead, lead_exps, comp, ecart_, sugar, t)
+        entry = _Entry(terms, lay, self.location, t, sugar)
+        lead = entry.lead
+        lead_exps = entry.lead_exps
+        comp = entry.comp
         mono = len(terms) == 1
         new = {}
         for i, other in enumerate(entries):
@@ -782,9 +728,7 @@ class _StdEngine:
         self._tighten_corner()
         # ties in ecart go to the shortest tail: cheaper to apply, and a
         # monomial reducer deletes the term outright
-        self.scan_order = sorted(
-            entries, key=lambda e: (e.ecart, len(e.terms), e.seq)
-        )
+        self.scan_order = sorted(entries, key=_scan_key)
         lay_deg = lay.degree
         for i in survivors:
             lcm_code = new[i]
@@ -809,131 +753,37 @@ class _StdEngine:
             heapq.heappush(self.heap, (k0, self.pair_seq, i, t))
             self.pair_seq += 1
 
-    def _tail_reduce(self, terms):
-        """Totally reduce the non-lead terms against the current entries.
-
-        Keeps stored generators short, which is what bounds the cost of
-        every later reduction step. Each replacement rewrites a term by
-        strictly smaller ones, so this terminates whenever the ordering is
-        a well-order (global) or a degree bound is active (finitely many
-        monomials below it); callers guard on that.
-        """
-        scan = self.scan_order
-        if len(terms) == 1 or not scan:
-            return terms
-        lay = self.lay
-        field = self.field
-        low_mask = lay.div_low_mask
-        check_mask = lay.div_check_mask
-        deg_shift = lay.deg_shift
-        deg_mask = lay.deg_mask
-        over = lay.exp_overflow_mask
-        decode = lay.decode_exps
-        encode = lay.encode
-        code_one = lay.code_one
-        mul = field.mul
-        neg = field.neg
-        bound = self.bound
-        fastp = field.characteristic if bound <= 4096 else 0
-        ceiling = self.ceiling
-        stats = self.stats
-        out = [terms[0]]
-        bucket = _HeapBucket(field)
-        bucket.add_descending(terms[1:])
-        reds = 0
-        while True:
-            popped = bucket.pop_lead()
-            if popped is None:
-                break
-            hcode, hcoeff = popped
-            best = None
-            for e in scan:
-                if not ((hcode - e.lead) & low_mask) & check_mask:
-                    best = e
-                    break
-            if best is None:
-                out.append(popped)
-                continue
-            hexps = decode(hcode)
-            delta = encode(tuple(a - b for a, b in zip(hexps, best.lead_exps))) - code_one
-            rc, rv = best.split_tail()
-            if rc:
-                if fastp:
-                    m = fastp - hcoeff
-                    asc = [
-                        (cc, (m * v) % fastp)
-                        for cc, v in zip([c0 + delta for c0 in rc], rv)
-                        if ((cc >> deg_shift) & deg_mask) < bound
-                    ]
-                else:
-                    c = neg(hcoeff)
-                    asc = []
-                    push = asc.append
-                    for k in range(len(rc)):
-                        nc = rc[k] + delta
-                        if nc & over:
-                            raise ExponentOverflow(
-                                "monomial product exceeds exponent range"
-                            )
-                        if ((nc >> deg_shift) & deg_mask) < bound:
-                            push((nc, mul(c, rv[k])))
-                bucket.add_ascending(asc)
-            reds += 1
-            if reds + stats.reductions > ceiling:
-                stats.reductions += reds
-                raise ResourceExhausted(
-                    "reduction ceiling of %d elementary steps exceeded" % ceiling
-                )
-        stats.reductions += reds
-        return out
-
-    def spoly_terms(self, i, j, lcm_code):
-        lay = self.lay
-        field = self.field
-        ei = self.entries[i]
-        ej = self.entries[j]
-        lexps = lay.decode_exps(lcm_code)
-        di = lay.encode(tuple(l - a for l, a in zip(lexps, ei.lead_exps))) - lay.code_one
-        dj = lay.encode(tuple(l - a for l, a in zip(lexps, ej.lead_exps))) - lay.code_one
-        left = _shift_terms(ei.terms[1:], di, field.one, field, lay.exp_overflow_mask, self.bound, lay)
-        right = _shift_terms(
-            ej.terms[1:], dj, field.neg(field.one), field, lay.exp_overflow_mask, self.bound, lay
-        )
-        return _merge_add(left, right, field), lay.degree(lcm_code)
-
     def run(self, seeds):
+        lay = self.lay
         field = self.field
-        tail_ok = self.tail_reduction and (self.ring.is_global or self.bound < _HUGE)
         for terms, sugar in seeds:
             terms = self._truncate(terms)
-            if not terms:
-                continue
-            if terms[0][1] != field.one:
-                terms = _scale(terms, field.inv(terms[0][1]), field)
-            if tail_ok:
-                terms = self._tail_reduce(terms)
-            self.insert(terms, sugar)
+            if terms:
+                self.insert(_monic(terms, field), sugar)
         min_ecart = self.strategy.reducer_selection == "min-ecart"
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             lcm_code = self.pairs.pop((i, j), None)
             if lcm_code is None:
                 continue  # discarded while queued
-            if self.lay.degree(lcm_code) >= self.bound:
+            deg_lcm = lay.degree(lcm_code)
+            if deg_lcm >= self.bound:
                 # the bound may have tightened since the pair was queued
                 self.stats.discarded += 1
                 continue
-            s_terms, deg_lcm = self.spoly_terms(i, j, lcm_code)
             ei = self.entries[i]
             ej = self.entries[j]
+            s_terms = _spoly_terms(
+                ei, ej, lay.decode_exps(lcm_code), lay, field, self.bound
+            )
             sug = max(
-                ei.sugar + deg_lcm - self.lay.degree(ei.lead),
-                ej.sugar + deg_lcm - self.lay.degree(ej.lead),
+                ei.sugar + deg_lcm - lay.degree(ei.lead),
+                ej.sugar + deg_lcm - lay.degree(ej.lead),
             )
             nf, sug = _weak_nf(
                 s_terms,
                 self.scan_order if min_ecart else self.entries,
-                self.lay,
+                lay,
                 field,
                 self.location,
                 self.mora,
@@ -945,11 +795,7 @@ class _StdEngine:
             )
             nf = self._truncate(nf)
             if nf:
-                if nf[0][1] != field.one:
-                    nf = _scale(nf, field.inv(nf[0][1]), field)
-                if tail_ok:
-                    nf = self._tail_reduce(nf)
-                self.insert(nf, sug)
+                self.insert(_monic(nf, field), sug)
 
     def minimal_entries(self):
         lay = self.lay
@@ -1014,6 +860,15 @@ class StandardBasis:
         return self._staircase
 
 
+def _uses_mora(mode, ring):
+    """Validate a std/normal_form mode; True when it means tangent-cone reduction."""
+    if mode not in ("auto", "buchberger", "mora"):
+        raise ValueError("mode must be auto, buchberger or mora")
+    if mode == "buchberger" and not ring.is_global:
+        raise ModeOrderingMismatch("buchberger mode needs a global ordering")
+    return mode == "mora" or (mode == "auto" and not ring.is_global)
+
+
 def _jet_eligible(ring, rank):
     """Jet truncation needs degree to dominate the (module) comparison."""
     if len(ring.ordering.blocks) != 1:
@@ -1072,11 +927,7 @@ def std(
             raise ModuleRankMismatch("module ranks differ")
     if strategy is None:
         strategy = Strategy()
-    if mode not in ("auto", "buchberger", "mora"):
-        raise ValueError("mode must be auto, buchberger or mora")
-    if mode == "buchberger" and not ring.is_global:
-        raise ModeOrderingMismatch("buchberger mode needs a global ordering")
-    mora = (mode == "mora") or (mode == "auto" and not ring.is_global)
+    mora = _uses_mora(mode, ring)
 
     trunc_ok = (
         rank is None
@@ -1117,14 +968,10 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     ring = f.ring
     rank = f.rank if isinstance(f, VectorElement) else None
     field = ring.field
-    lay = ring.layout if rank is None else ring.module_layout
+    lay = _layout_for(f)
     if strategy is None:
         strategy = Strategy()
-    if mode not in ("auto", "buchberger", "mora"):
-        raise ValueError("mode must be auto, buchberger or mora")
-    if mode == "buchberger" and not ring.is_global:
-        raise ModeOrderingMismatch("buchberger mode needs a global ordering")
-    mora = (mode == "mora") or (mode == "auto" and not ring.is_global)
+    mora = _uses_mora(mode, ring)
     entries = []
     for k, g in enumerate(reducers):
         if not g:
@@ -1135,23 +982,9 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
             rank is not None and g.rank != rank
         ):
             raise ModuleRankMismatch("reducers do not match the element")
-        terms = g._terms
-        if terms[0][1] != field.one:
-            terms = _scale(terms, field.inv(terms[0][1]), field)
-        lead = terms[0][0]
-        entries.append(
-            _Entry(
-                terms,
-                lead,
-                lay.decode_exps(lead),
-                lay.component(lead) if rank is not None else None,
-                _terms_max_degree(terms, lay, ring.degree_location) - lay.degree(lead),
-                _terms_max_degree(terms, lay, ring.degree_location),
-                k,
-            )
-        )
+        entries.append(_Entry(_monic(g._terms, field), lay, ring.degree_location, k))
     if strategy.reducer_selection == "min-ecart":
-        entries.sort(key=lambda e: (e.ecart, len(e.terms), e.seq))
+        entries.sort(key=_scan_key)
     counter = Stats()
     init = list(f._terms)
     sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
@@ -1361,19 +1194,22 @@ def local_vdim(
     top degree carries no standard monomial the count is exact and is
     returned with its basis. Falls back to an untruncated run (which decides
     INFINITE honestly) if max_jet is exhausted or the ordering does not
-    support jets.
+    support jets. The returned basis's stats cover every run made.
     """
     gens = [g for g in generators if g]
     if not gens:
         return INFINITE, None
     ring = gens[0].ring
     rank = gens[0].rank if isinstance(gens[0], VectorElement) else None
+    total = Stats()
     if _jet_eligible(ring, rank):
         k = max(2, start_jet)
         while k <= max_jet:
             basis = std(gens, strategy, ceiling=ceiling, jet=k)
+            total.add(basis.stats)
             counts, ok = jet_dimensions(basis)
             if ok:
+                basis.stats = total
                 return sum(counts), basis
             # leads below the jet are genuine, so once every component shows
             # a pure power in each variable the staircase degree is bounded
@@ -1390,7 +1226,7 @@ def local_vdim(
                 k = need
             else:
                 k = 2 * k
-        basis = std(gens, strategy, ceiling=ceiling)
-        return vdim(basis), basis
     basis = std(gens, strategy, ceiling=ceiling)
+    total.add(basis.stats)
+    basis.stats = total
     return vdim(basis), basis

@@ -135,6 +135,15 @@ def test_unknown_flag_exits_two(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["GERMKIT_CEILING", "GERMKIT_SEED"])
+def test_bad_integer_environment_exits_two(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    with pytest.raises(SystemExit) as e:
+        main(["vdim", "--ring", "0 (x,y) ds", "--poly", "x^2", "--poly", "y^3"])
+    assert e.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # job files
 
@@ -230,15 +239,15 @@ def test_bench_table_output(capsys):
     assert len(lines) == 2
 
 
-def test_bench_parallel_jobs(capsys):
+def test_bench_counts_every_jet_rung(capsys):
+    # the Tjurina ideal of this member runs jets 32 -> 64 -> 107
     code, out, _ = run(
-        capsys, "bench", "--family", "ft:5,4", "--strategies",
-        "sugar;fifo;min-lcm-degree", "--jobs", "3", "--json",
+        capsys, "bench", "--ring", "32003 (x,y,z) ds",
+        "--family", "zariski:40,30,8:t=0", "--json",
     )
     assert code == 0
-    data = json.loads(out)
-    assert len(data["records"]) == 3
-    assert len({r["digest"] for r in data["records"]}) == 1
+    (record,) = json.loads(out)["records"]
+    assert record["reductions"] == 14 + 439 + 799
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,17 @@ def test_local_vdim_drives_jets():
     assert basis.jet is not None
 
 
+def test_local_vdim_stats_cover_every_rung():
+    ring = _ring("ds")
+    gens = [parse_poly(s, ring) for s in ("x^2+y^3", "x*y-z^4", "z^2-x*y^2")]
+    value, basis = local_vdim(gens, start_jet=2)
+    assert (value, basis.jet) == (10, 8)  # jets 2 -> 4 -> 8
+    rungs = [std(gens, jet=k).stats for k in (2, 4, 8)]
+    for name in ("pairs", "discarded", "reductions"):
+        assert getattr(basis.stats, name) == sum(getattr(s, name) for s in rungs)
+    assert basis.stats.pairs > rungs[-1].pairs
+
+
 def test_corner_tightening_on_oversized_jet():
     # bound 128 with a staircase topping out below 20: the run must shrink
     # its own bound once pure powers appear, without changing any answer
