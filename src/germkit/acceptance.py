@@ -11,13 +11,11 @@ seeded generator so reruns are reproducible.
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .invariants import (
     HypersurfaceGerm,
-    SpaceCurveGerm,
     find_weights,
     ft_germ,
     milnor,
@@ -35,7 +33,7 @@ from .poincare import (
     wedge,
 )
 from .ring import order_of
-from .stdbasis import Strategy, local_vdim, normal_form, std
+from .stdbasis import Strategy, highest_corner, local_vdim, normal_form, std
 
 DEFAULT_SEED = 20250819
 
@@ -326,14 +324,7 @@ def criterion_5_engine_properties(rng):
             if extra and not extra.constant_term():
                 gens.append(extra)
         value, basis = local_vdim(gens)
-        if basis.jet is None:
-            monos = basis.staircase().std_exponents(0)
-            corner = 1 + max((sum(m) for m in monos), default=-1)
-        else:
-            from .stdbasis import jet_dimensions
-
-            counts, _ = jet_dimensions(basis)
-            corner = 1 + max((d for d, c in enumerate(counts) if c), default=-1)
+        corner = highest_corner(basis)
         for jet in (corner + 1, corner + 2):
             want = _oracle_vdim(gens, jet, 32003)
             if want != value:

@@ -49,10 +49,8 @@ from .stdbasis import (
     INFINITE,
     Strategy,
     highest_corner,
-    jet_dimensions,
     local_vdim,
     std,
-    vdim,
 )
 
 COMMANDS = (
@@ -98,7 +96,7 @@ def _build_parser():
                         help="zariski:a,b,c:t=q or ft:k,l")
     common.add_argument("--ordering", default=_env("ORDERING"), metavar="TOKENS",
                         help="ordering override, e.g. ds or dp(2),ds(1)")
-    common.add_argument("--char", type=int, default=None, metavar="P",
+    common.add_argument("--char", type=int, default=_env("CHAR"), metavar="P",
                         help="characteristic override")
     common.add_argument("--strategy", default=_env("STRATEGY"), metavar="OPTS",
                         help="comma list: sugar|min-lcm-degree|fifo, "
@@ -282,10 +280,7 @@ def _cmd_std(args):
 def _cmd_vdim(args):
     gens, ring = _resolve_ideal(args)
     strategy = _resolve_strategy(args)
-    if ring.is_global:
-        value = vdim(std(gens, strategy, ceiling=args.ceiling))
-    else:
-        value, _ = local_vdim(gens, strategy=strategy, ceiling=args.ceiling)
+    value, _ = local_vdim(gens, strategy=strategy, ceiling=args.ceiling)
     _emit(args, ring, strategy, {"vdim": _dim_text(value)}, _dim_text(value))
     return 0
 
@@ -410,11 +405,7 @@ def _staircase_digest(ring, basis, value):
         leads = sorted(basis.leading_exponents())
         h.update(("leads=%r" % (leads,)).encode())
     else:
-        if basis.jet is not None:
-            counts, _ = jet_dimensions(basis)
-        else:
-            counts = basis.staircase().counts_by_degree(highest_corner(basis))
-        counts = list(counts)
+        counts = basis.staircase().counts_by_degree(highest_corner(basis))
         while counts and counts[-1] == 0:
             counts.pop()
         h.update(("vdim=%d;counts=%r" % (value, tuple(counts))).encode())
@@ -426,14 +417,7 @@ def _bench_one(label, decl, strategy_text, ceiling):
     gens = [parse_poly(s, ring) for s in decl[1]]
     strategy = Strategy.from_text(strategy_text)
     t0 = time.perf_counter()
-    if ring.is_global:
-        basis = std(gens, strategy, ceiling=ceiling)
-        value = vdim(basis)
-    else:
-        value, basis = local_vdim(gens, strategy=strategy, ceiling=ceiling)
-        if basis is None:
-            basis = std(gens, strategy, ceiling=ceiling)
-            value = vdim(basis)
+    value, basis = local_vdim(gens, strategy=strategy, ceiling=ceiling)
     millis = int((time.perf_counter() - t0) * 1000)
     return {
         "input": label,
@@ -599,12 +583,7 @@ def run_jobfile(path, *, json_out=False):
                 for g in std(polys(argnames, lineno)):
                     print(serialize(g))
             elif cmd == "vdim":
-                ps = polys(argnames, lineno)
-                if ring.is_global:
-                    print(_dim_text(vdim(std(ps))))
-                else:
-                    value, _ = local_vdim(ps)
-                    print(_dim_text(value))
+                print(_dim_text(local_vdim(polys(argnames, lineno))[0]))
             elif cmd in ("milnor", "tjurina", "mult", "qh"):
                 germ = germ_of(polys(argnames, lineno), lineno)
                 if cmd == "milnor":

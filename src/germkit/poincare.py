@@ -27,12 +27,7 @@ from .invariants import (
     milnor_space_curve,
 )
 from .ring import Polynomial, VectorElement
-from .stdbasis import (
-    DEFAULT_CEILING,
-    INFINITE,
-    jet_dimensions,
-    local_vdim,
-)
+from .stdbasis import DEFAULT_CEILING, INFINITE, highest_corner, local_vdim
 
 _FORM_RANK = (1, 3, 3, 1)
 
@@ -406,31 +401,7 @@ def _monomials_up_to(bound):
     return out
 
 
-def _corner_of(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
-    """highest_corner of the ideal the generators span, via jet runs."""
-    value, basis = local_vdim(generators, strategy=strategy, ceiling=ceiling)
-    if value is INFINITE:
-        return INFINITE
-    if basis.jet is None:
-        monos = basis.staircase().std_exponents(0)
-        return 1 + max((sum(m) for m in monos), default=-1)
-    counts, _ = jet_dimensions(basis)
-    top = -1
-    for d, c in enumerate(counts):
-        if c:
-            top = d
-    return top + 1
-
-
-def reiffen_condition_1(
-    f,
-    g,
-    order="auto",
-    *,
-    multiplier_bound=None,
-    strategy=None,
-    ceiling=DEFAULT_CEILING,
-):
+def reiffen_condition_1(f, g, order="auto", *, strategy=None, ceiling=DEFAULT_CEILING):
     """Reiffen's first condition: <f,g>*Omega^3 inside d(<f,g>*Omega^2).
 
     Decided modulo the order-th power of the maximal ideal: the span V of
@@ -449,13 +420,13 @@ def reiffen_condition_1(
         tjurina_gens = [f, g]
         tjurina_gens.extend(f.partial(i) for i in range(3))
         tjurina_gens.extend(g.partial(i) for i in range(3))
-        corner = _corner_of(tjurina_gens, strategy=strategy, ceiling=ceiling)
-        if corner is INFINITE:
+        value, basis = local_vdim(tjurina_gens, strategy=strategy, ceiling=ceiling)
+        if value is INFINITE:
             raise NonIsolated(
                 "the Tjurina algebra is not finite dimensional; pass an "
                 "explicit truncation order instead of auto"
             )
-        order = corner + 2
+        order = highest_corner(basis) + 2
     if not isinstance(order, int) or order < 0:
         raise ParameterOutOfRange("truncation order must be a non-negative integer")
     if order > MAX_CONDITION1_ORDER:
@@ -469,12 +440,8 @@ def reiffen_condition_1(
             0,
             "vacuous: every form is congruent to zero modulo the zeroth power",
         )
-    bound = order if multiplier_bound is None else multiplier_bound
-    if bound < 0:
-        raise ParameterOutOfRange("multiplier bound must be non-negative")
-
     span = _SparseSpan(ring.field)
-    for m in _monomials_up_to(bound):
+    for m in _monomials_up_to(order):
         mono = ring.monomial(m)
         for h in (f, g):
             q = mono * h

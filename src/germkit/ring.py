@@ -337,12 +337,6 @@ class _Layout:
         t = (b - a) & self.div_low_mask
         return not (t & self.div_check_mask)
 
-    def mul(self, a, b):
-        code = a + b - self.code_one
-        if code & self.exp_overflow_mask:
-            raise ExponentOverflow("monomial product exceeds exponent range")
-        return code
-
     def multiplier_delta(self, exps):
         """Addend realizing multiplication by the given ring monomial."""
         return self.encode(exps) - self.code_one

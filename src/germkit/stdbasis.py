@@ -29,6 +29,7 @@ from .errors import (
 from .ring import (
     NEG_DEGLEX,
     NEG_DEGREVLEX,
+    POSITION_OVER_TERM,
     Polynomial,
     VectorElement,
     _merge_add,
@@ -37,6 +38,7 @@ from .ring import (
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
+MAX_JET = 4096  # local_vdim's last jet before it runs untruncated
 _HUGE = 1 << 60
 
 
@@ -300,6 +302,10 @@ def _layout_for(obj):
     return obj.ring.layout
 
 
+def _rank_of(obj):
+    return obj.rank if isinstance(obj, VectorElement) else None
+
+
 def _raw(obj):
     return obj._terms
 
@@ -349,7 +355,8 @@ def spoly(f, g):
     ef = _Entry(_monic(tf, field), lay, location, 0)
     eg = _Entry(_monic(tg, field), lay, location, 1)
     lcm = tuple(max(a, b) for a, b in zip(ef.lead_exps, eg.lead_exps))
-    return _wrap(f, ring, _spoly_terms(ef, eg, lcm, lay, field, _HUGE), rank)
+    lcm_code = lay.encode(lcm, ef.comp)
+    return _wrap(f, ring, _spoly_terms(ef, eg, lcm_code, lay, field, _HUGE), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +397,14 @@ def _shift(codes, coeffs, delta, c, bound, lay, field):
     return out
 
 
-def _spoly_terms(ei, ej, lcm_exps, lay, field, bound):
-    """S-polynomial of two monic entries at the lcm of their leads,
-    truncated below bound; the leads cancel, so only tails are shifted."""
+def _spoly_terms(ei, ej, lcm_code, lay, field, bound):
+    """S-polynomial of two monic entries at the lcm code of their leads,
+    truncated below bound; the leads cancel, so only tails are shifted.
+    Codes are affine in the exponents, so lcm_code - lead is the shift."""
     halves = []
     for e, c in ((ei, field.neg(field.one)), (ej, field.one)):
-        delta = lay.encode(tuple(l - a for l, a in zip(lcm_exps, e.lead_exps)))
         rc, rv = e.split_tail()
-        halves.append(_shift(rc, rv, delta - lay.code_one, c, bound, lay, field)[::-1])
+        halves.append(_shift(rc, rv, lcm_code - e.lead, c, bound, lay, field)[::-1])
     return _merge_add(halves[0], halves[1], field)
 
 
@@ -431,9 +438,6 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
     check_mask = lay.div_check_mask
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
-    decode = lay.decode_exps
-    encode = lay.encode
-    code_one = lay.code_one
     min_ecart = reducer_rule == "min-ecart"
     reds = 0
 
@@ -521,14 +525,13 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
                     _Entry(snap, lay, location, _HUGE + len(extras), sugar, h_ecart)
                 )
 
-        # h -= (hcoeff / lc(best)) * quotient * best   (best is monic)
-        hexps = decode(hcode)
-        delta = encode(tuple(a - b for a, b in zip(hexps, best.lead_exps))) - code_one
+        # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
+        # quotient's code offset is the difference of the two lead codes
+        delta = hcode - best.lead
         rc, rv = best.split_tail()
         if rc:
             bucket.add_ascending(_shift(rc, rv, delta, hcoeff, bound, lay, field))
-        qdeg = (delta + code_one >> deg_shift) & deg_mask
-        s2 = best.sugar + qdeg
+        s2 = best.sugar + ((delta >> deg_shift) & deg_mask)
         if s2 > sugar:
             sugar = s2
         reds += 1
@@ -571,7 +574,7 @@ class _StdEngine:
 
     def _note_lead(self, exps):
         # dynamic tightening is per-component territory; scalar only
-        if not self.truncation or self.rank is not None:
+        if not self.truncation:
             return
         nz = [v for v, e in enumerate(exps) if e]
         if len(nz) == 1:
@@ -773,9 +776,7 @@ class _StdEngine:
                 continue
             ei = self.entries[i]
             ej = self.entries[j]
-            s_terms = _spoly_terms(
-                ei, ej, lay.decode_exps(lcm_code), lay, field, self.bound
-            )
+            s_terms = _spoly_terms(ei, ej, lcm_code, lay, field, self.bound)
             sug = max(
                 ei.sugar + deg_lcm - lay.degree(ei.lead),
                 ej.sugar + deg_lcm - lay.degree(ej.lead),
@@ -819,7 +820,8 @@ class StandardBasis:
 
     When `jet` is set the basis describes the ideal plus the jet-th power of
     the maximal ideal; leading terms are exact below degree `jet` only, and
-    dimension queries go through jet_dimensions.
+    dimension queries go through jet_dimensions (highest_corner accepts the
+    basis once its counts certify).
     """
 
     def __init__(self, ring, rank, generators, stats, mode, strategy, jet=None):
@@ -875,8 +877,6 @@ def _jet_eligible(ring, rank):
         return False
     if ring.ordering.blocks[0].kind not in (NEG_DEGLEX, NEG_DEGREVLEX):
         return False
-    from .ring import POSITION_OVER_TERM
-
     return rank is None or ring.ordering.module_rule != POSITION_OVER_TERM
 
 
@@ -886,7 +886,6 @@ def std(
     *,
     mode="auto",
     ceiling=DEFAULT_CEILING,
-    truncate=None,
     jet=None,
 ):
     """Standard basis of the span of `generators` (list of one kind).
@@ -898,7 +897,6 @@ def std(
     For zero-dimensional runs under a pure local degree ordering, terms above
     a degree bound derived from the pure powers already found are discarded
     on the fly; this never changes the leading module or the staircase.
-    Pass truncate=False to disable that.
 
     jet=K computes a standard basis of the input plus the K-th power of the
     maximal ideal (every term of degree >= K is dropped throughout); the
@@ -911,13 +909,13 @@ def std(
         if not gens_all:
             raise ZeroPolynomial("std of an empty generator list")
         ring = gens_all[0].ring
-        rank = gens_all[0].rank if isinstance(gens_all[0], VectorElement) else None
+        rank = _rank_of(gens_all[0])
         return StandardBasis(
             ring, rank, (), Stats(), "auto", strategy or Strategy(), jet
         )
     ring = gens[0].ring
     first = gens[0]
-    rank = first.rank if isinstance(first, VectorElement) else None
+    rank = _rank_of(first)
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators live in different rings")
@@ -929,12 +927,7 @@ def std(
         strategy = Strategy()
     mora = _uses_mora(mode, ring)
 
-    trunc_ok = (
-        rank is None
-        and len(ring.ordering.blocks) == 1
-        and ring.ordering.blocks[0].kind in (NEG_DEGLEX, NEG_DEGREVLEX)
-    )
-    truncation = trunc_ok if truncate is None else bool(truncate) and trunc_ok
+    truncation = rank is None and _jet_eligible(ring, rank)
     if jet is not None:
         if not isinstance(jet, int) or jet < 1:
             raise ValueError("jet must be a positive integer")
@@ -966,7 +959,7 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     if isinstance(reducers, StandardBasis):
         reducers = list(reducers.generators)
     ring = f.ring
-    rank = f.rank if isinstance(f, VectorElement) else None
+    rank = _rank_of(f)
     field = ring.field
     lay = _layout_for(f)
     if strategy is None:
@@ -1149,11 +1142,18 @@ def kbase(basis):
 
 
 def highest_corner(basis):
-    """Least N with every monomial of degree >= N in the leading ideal."""
+    """Least N with every monomial of degree >= N in the leading ideal.
+
+    A jet-truncated basis is accepted when its counts certify (as every
+    basis local_vdim returns does); its corner lies below the jet.
+    """
     if basis.rank is not None:
         raise ModuleRankMismatch("highest corner is defined for ideals")
     if basis.jet is not None:
-        raise ValueError("basis is jet-truncated; use jet_dimensions")
+        counts, certified = jet_dimensions(basis)
+        if not certified:
+            raise ValueError("jet-truncated basis does not certify its corner")
+        return 1 + max((d for d, c in enumerate(counts) if c), default=-1)
     st = basis.staircase()
     if not st.is_finite():
         return INFINITE
@@ -1180,31 +1180,24 @@ def jet_dimensions(basis):
     return counts, certified
 
 
-def local_vdim(
-    generators,
-    *,
-    start_jet=32,
-    max_jet=4096,
-    strategy=None,
-    ceiling=DEFAULT_CEILING,
-):
-    """vdim over a local degree ordering, via jet runs of increasing order.
+def local_vdim(generators, *, start_jet=32, strategy=None, ceiling=DEFAULT_CEILING):
+    """(vdim, basis) of the span of `generators`, under any ordering.
 
-    Each run computes modulo the jet-th power of the maximal ideal; once the
-    top degree carries no standard monomial the count is exact and is
-    returned with its basis. Falls back to an untruncated run (which decides
-    INFINITE honestly) if max_jet is exhausted or the ordering does not
-    support jets. The returned basis's stats cover every run made.
+    This is the dimension entry point: it always equals vdim(std(...)).
+    Under a local degree ordering it runs jets of increasing order, each
+    modulo the jet-th power of the maximal ideal; once the top degree
+    carries no standard monomial the count is exact and is returned with
+    its (jet-truncated) basis, which highest_corner accepts. Every other
+    ordering, an all-zero input, or a ladder past MAX_JET gets one
+    untruncated run, which decides INFINITE honestly. The returned basis's
+    stats cover every run made.
     """
+    generators = list(generators)
     gens = [g for g in generators if g]
-    if not gens:
-        return INFINITE, None
-    ring = gens[0].ring
-    rank = gens[0].rank if isinstance(gens[0], VectorElement) else None
     total = Stats()
-    if _jet_eligible(ring, rank):
+    if gens and _jet_eligible(gens[0].ring, _rank_of(gens[0])):
         k = max(2, start_jet)
-        while k <= max_jet:
+        while k <= MAX_JET:
             basis = std(gens, strategy, ceiling=ceiling, jet=k)
             total.add(basis.stats)
             counts, ok = jet_dimensions(basis)
@@ -1226,7 +1219,7 @@ def local_vdim(
                 k = need
             else:
                 k = 2 * k
-    basis = std(gens, strategy, ceiling=ceiling)
+    basis = std(generators, strategy, ceiling=ceiling)
     total.add(basis.stats)
     basis.stats = total
     return vdim(basis), basis

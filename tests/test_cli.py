@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from germkit import parse_poly, parse_ring, std, vdim
 from germkit.cli import main
 
 
@@ -135,13 +136,51 @@ def test_unknown_flag_exits_two(capsys):
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("name", ["GERMKIT_CEILING", "GERMKIT_SEED"])
+@pytest.mark.parametrize("name", ["GERMKIT_CEILING", "GERMKIT_SEED", "GERMKIT_CHAR"])
 def test_bad_integer_environment_exits_two(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "abc")
     with pytest.raises(SystemExit) as e:
         main(["vdim", "--ring", "0 (x,y) ds", "--poly", "x^2", "--poly", "y^3"])
     assert e.value.code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_char_environment_fallback(capsys, monkeypatch):
+    monkeypatch.setenv("GERMKIT_CHAR", "32003")
+    code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["characteristic"] == 32003
+    assert data["mu"] == 11
+
+
+_VDIM_CASES = [
+    ("0 (x,y) dp", ["x^2+y", "x*y-1"]),
+    ("32003 (x,y) dp(1),ds(1)", ["x^2+y^3", "x*y"]),
+]
+
+
+@pytest.mark.parametrize("decl, polys", _VDIM_CASES)
+def test_vdim_command_matches_std(capsys, decl, polys):
+    ring = parse_ring("ring " + decl)
+    want = str(vdim(std([parse_poly(s, ring) for s in polys])))
+    argv = ["vdim", "--ring", decl]
+    for s in polys:
+        argv += ["--poly", s]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == want
+
+
+@pytest.mark.parametrize("decl, polys", _VDIM_CASES)
+def test_jobfile_vdim_matches_std(tmp_path, capsys, decl, polys):
+    ring = parse_ring("ring " + decl)
+    want = str(vdim(std([parse_poly(s, ring) for s in polys])))
+    job = tmp_path / "vdim.job"
+    lines = ["ring " + decl]
+    lines += ["f%d = %s;" % (i, s) for i, s in enumerate(polys)]
+    job.write_text("\n".join(lines + ["vdim;", ""]))
+    code, out, _ = run(capsys, str(job))
+    assert code == 0 and out.strip() == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from germkit import (
     INFINITE,
     Staircase,
     Strategy,
+    VectorElement,
     ecart,
     highest_corner,
     is_member,
@@ -62,6 +63,25 @@ def test_spoly_examples():
     assert spoly(f, f).is_zero
     h = spoly(parse_poly("x^2+y", ring), parse_poly("y^2+x", ring))
     assert ring.compare(h.lead_exponents, (2, 2)) < 0
+
+
+@pytest.mark.parametrize(
+    "tok, f, g, want",
+    [
+        # leads x*e2 and y*e2: y*f - x*g
+        ("ds", ("y^2", "x+y^3"), ("x^2", "y+x^2"), ("y^3-x^3", "y^4-x^3")),
+        # leads x^2*e1 and x*y*e1: y*f - x*g
+        ("dp", ("x^2+y", "x"), ("x*y", "y^2+1"), ("y^2", "x*y-x*y^2-x")),
+    ],
+    ids=["ds", "dp"],
+)
+def test_spoly_of_module_elements(tok, f, g, want):
+    ring = _ring(tok, names="x,y")
+
+    def vec(parts):
+        return VectorElement.from_components([parse_poly(s, ring) for s in parts])
+
+    assert spoly(vec(f), vec(g)) == vec(want)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +295,7 @@ def test_jet_run_matches_untruncated():
     counts, certified = jet_dimensions(jb)
     assert certified
     assert sum(counts) == want
+    assert highest_corner(jb) == highest_corner(full)
 
 
 def test_jet_below_corner_is_not_certified():
@@ -283,6 +304,8 @@ def test_jet_below_corner_is_not_certified():
     jb = std(gens, jet=3)  # true corner is 5
     counts, certified = jet_dimensions(jb)
     assert not certified
+    with pytest.raises(ValueError):
+        highest_corner(jb)
 
 
 def test_local_vdim_drives_jets():
@@ -341,8 +364,6 @@ def test_staircase_pure_powers_and_finiteness():
 
 
 def test_module_vdim_per_component():
-    from germkit import VectorElement
-
     ring = _ring("ds", names="x,y")
     x, y = ring.variable(0), ring.variable(1)
     gens = [
