@@ -11,6 +11,15 @@ Usage shapes:
     germkit selftest
     germkit path/to/file.job
 
+Inputs are one --poly (a hypersurface germ) or two (a space curve), or a
+family member (--family ft:k,l or zariski:a,b,c:t=q, and the ft and
+zariski commands). A family member is built in the ring of --ring, --char
+and --ordering (default "0 (x,y,z) ds"), which must be local; std and vdim
+take its Tjurina ideal. `bench --orderings` lists orderings in the
+ordering grammar, each ending at the block that covers the last variable:
+in two variables ds,ls,dp(1),ds(1) is three orderings. JSON dimensions
+(mu, tau, vdim) are integers or "infinite".
+
 Every flag has a GERMKIT_* environment variable fallback (GERMKIT_RING,
 GERMKIT_ORDERING, GERMKIT_STRATEGY, GERMKIT_CHAR, GERMKIT_ORDER,
 GERMKIT_JSON, GERMKIT_CEILING, GERMKIT_SEED); flags win.
@@ -26,6 +35,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .errors import GermkitError, ParseError
@@ -42,8 +52,9 @@ from .invariants import (
     tjurina,
     zariski_family,
 )
-from .parse import parse_job, parse_poly, parse_ring, serialize
+from .parse import parse_job, parse_orderings, parse_poly, parse_ring, serialize
 from .poincare import exactness_report
+from .ring import RingContext
 from .stdbasis import (
     DEFAULT_CEILING,
     INFINITE,
@@ -52,22 +63,6 @@ from .stdbasis import (
     local_vdim,
     std,
 )
-
-COMMANDS = (
-    "std",
-    "vdim",
-    "milnor",
-    "tjurina",
-    "mult",
-    "qh",
-    "ft",
-    "zariski",
-    "reiffen",
-    "bench",
-    "selftest",
-)
-
-_GERM_COMMANDS = ("milnor", "tjurina", "mult", "qh")
 
 
 class UsageError(Exception):
@@ -149,7 +144,8 @@ def _build_parser():
     be = sub.add_parser("bench", parents=[common],
                         help="strategy/ordering cross-product timings")
     be.add_argument("--orderings", default=None, metavar="TOK,TOK",
-                    help="comma list of ordering tokens (default: the ring's)")
+                    help="comma list of orderings, each ending at the block "
+                         "that covers the last variable (default: the ring's)")
     be.add_argument("--strategies", default=None, metavar="S;S",
                     help="semicolon list of strategy option lists")
 
@@ -166,35 +162,31 @@ def _resolve_strategy(args):
     return Strategy()
 
 
-def _resolve_ring(args, default="0 (x,y,z) ds"):
+def _resolve_ring(args):
     """Ring from --ring, with --char / --ordering overriding its fields."""
-    base = parse_ring(args.ring if args.ring else default)
+    base = parse_ring(args.ring or "0 (x,y,z) ds")
+    if args.char is None and not args.ordering:
+        return base
     char = base.characteristic if args.char is None else args.char
-    tokens = args.ordering if args.ordering else base.ordering.token()
-    return parse_ring(
-        "ring %d (%s) %s" % (char, ",".join(base.variables), tokens)
-    )
+    return RingContext(char, base.variables, args.ordering or base.ordering)
 
 
 def _parse_rational(text):
-    text = text.strip()
-    if "/" in text:
-        from fractions import Fraction
-
-        return Fraction(text)
-    return int(text)
+    try:
+        return Fraction(text) if "/" in text else int(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("t takes an integer or a fraction p/q, not %r" % text) from None
 
 
-def _family_germ(spec, args):
-    """Germ from a family shorthand: zariski:a,b,c:t=q or ft:k,l."""
+def _parse_family(spec):
+    """(name, parameters) from a family shorthand: zariski:a,b,c:t=q or ft:k,l."""
     head, _, rest = spec.partition(":")
     if head == "ft":
         try:
             k, l = (int(s) for s in rest.split(","))
         except ValueError:
             raise UsageError("--family ft needs ft:k,l") from None
-        char = args.char if args.char is not None else 0
-        return ft_germ(k, l, char)
+        return "ft", (k, l)
     if head == "zariski":
         params, _, tpart = rest.partition(":")
         try:
@@ -203,55 +195,68 @@ def _family_germ(spec, args):
             raise UsageError("--family zariski needs zariski:a,b,c:t=q") from None
         if not tpart.startswith("t="):
             raise UsageError("--family zariski needs a t= part")
-        t = _parse_rational(tpart[2:])
-        ring = _resolve_ring(args)
-        return HypersurfaceGerm(zariski_family(a, b, c, t, ring=ring))
+        return "zariski", (a, b, c, _parse_rational(tpart[2:]))
     raise UsageError("unknown family %r (want zariski:... or ft:k,l)" % spec)
 
 
-def _resolve_germ(args):
-    if args.family:
-        return _family_germ(args.family, args)
-    polys = args.poly or []
-    if not polys:
-        raise UsageError("need --family or --poly")
-    ring = _resolve_ring(args)
-    ps = [parse_poly(s, ring) for s in polys]
-    if len(ps) == 1:
-        return HypersurfaceGerm(ps[0])
-    if len(ps) == 2:
-        return SpaceCurveGerm(ps[0], ps[1])
+def _family(args):
+    """The family member a command names, as (name, parameters), or None."""
+    if args.command == "ft":
+        return "ft", (args.k, args.l)
+    if args.command == "zariski":
+        return "zariski", (args.a, args.b, args.c, _parse_rational(args.t))
+    return _parse_family(args.family) if args.family else None
+
+
+def _family_germ(family, ring):
+    """The germ of a family member in the given ring, which must be local."""
+    name, params = family
+    if name == "ft":
+        return ft_germ(*params, ring=ring)
+    return HypersurfaceGerm(zariski_family(*params, ring=ring))
+
+
+def _germ_of(polys):
+    """The germ of one equation (a hypersurface) or two (a space curve)."""
+    if len(polys) == 1:
+        return HypersurfaceGerm(polys[0])
+    if len(polys) == 2:
+        return SpaceCurveGerm(*polys)
     raise UsageError("a germ takes one equation (hypersurface) or two (curve)")
 
 
-def _resolve_ideal(args):
-    """Generator list for std/vdim: the family's natural ideal or --poly."""
-    if args.family:
-        germ = _family_germ(args.family, args)
-        if isinstance(germ, SpaceCurveGerm):
-            return [germ.f, germ.g] + list(germ.minors()), germ.ring
-        f = germ.f
-        return [f] + [f.partial(i) for i in range(f.ring.n)], germ.ring
-    polys = args.poly or []
-    if not polys:
+def _resolve_input(args):
+    """(family member germ, None) or (None, the --poly list) of a command."""
+    family = _family(args)
+    if family is None and not args.poly:
         raise UsageError("need --family or --poly")
     ring = _resolve_ring(args)
-    return [parse_poly(s, ring) for s in polys], ring
+    if family:
+        return _family_germ(family, ring), None
+    return None, [parse_poly(s, ring) for s in args.poly]
 
 
-def _envelope(ring, strategy):
-    return {
-        "characteristic": ring.characteristic,
-        "ordering": ring.ordering.token(),
-        "strategy": strategy.to_json(),
-        "version": __version__,
-    }
+def _resolve_germ(args):
+    germ, polys = _resolve_input(args)
+    return _germ_of(polys) if germ is None else germ
 
 
-def _emit(args, ring, strategy, payload, text):
-    if args.json:
+def _resolve_ideal(args):
+    """Generators for std/vdim: the family's Tjurina ideal or --poly."""
+    germ, polys = _resolve_input(args)
+    return polys if germ is None else germ.tjurina_generators()
+
+
+def _emit(as_json, ring, strategy, payload, text):
+    """Print a result: its payload and the run's settings as JSON, or its text."""
+    if as_json:
         out = dict(payload)
-        out.update(_envelope(ring, strategy))
+        out.update(
+            characteristic=ring.characteristic,
+            ordering=ring.ordering.token(),
+            strategy=strategy.to_json(),
+            version=__version__,
+        )
         print(json.dumps(out, sort_keys=True))
     else:
         print(text)
@@ -262,101 +267,73 @@ def _emit(args, ring, strategy, payload, text):
 
 
 def _cmd_std(args):
-    gens, ring = _resolve_ideal(args)
+    gens = _resolve_ideal(args)
     strategy = _resolve_strategy(args)
     basis = std(gens, strategy, ceiling=args.ceiling)
     rendered = [serialize(g) for g in basis]
     stats = basis.stats.to_json()
     del stats["millis"]  # byte-identical reruns
-    if args.json:
-        payload = {"generators": rendered, "stats": stats, "size": len(basis)}
-        _emit(args, ring, strategy, payload, "")
-    else:
-        for line in rendered:
-            print(line)
+    payload = {"generators": rendered, "stats": stats, "size": len(basis)}
+    _emit(args.json, gens[0].ring, strategy, payload, "\n".join(rendered))
     return 0
 
 
 def _cmd_vdim(args):
-    gens, ring = _resolve_ideal(args)
+    gens = _resolve_ideal(args)
     strategy = _resolve_strategy(args)
     value, _ = local_vdim(gens, strategy=strategy, ceiling=args.ceiling)
-    _emit(args, ring, strategy, {"vdim": _dim_text(value)}, _dim_text(value))
+    _emit(args.json, gens[0].ring, strategy, {"vdim": _dim_json(value)},
+          _dim_text(value))
     return 0
+
+
+# invariant commands and job-file commands: name -> (function, JSON key)
+_INVARIANTS = {
+    "milnor": (milnor, "mu"),
+    "tjurina": (tjurina, "tau"),
+    "mult": (multiplicity, "multiplicity"),
+    "qh": (is_quasihomogeneous, "quasi_homogeneous"),
+}
 
 
 def _cmd_invariant(args):
     germ = _resolve_germ(args)
     strategy = _resolve_strategy(args)
-    fn = {"milnor": milnor, "tjurina": tjurina, "mult": multiplicity}[args.command]
+    fn, key = _INVARIANTS[args.command]
     value = fn(germ, strategy=strategy, ceiling=args.ceiling)
-    key = {"milnor": "mu", "tjurina": "tau", "mult": "multiplicity"}[args.command]
-    _emit(args, germ.ring, strategy, {key: _dim_json(value)}, _dim_text(value))
+    if args.command != "qh":
+        payload, text = {key: _dim_json(value)}, _dim_text(value)
+    else:
+        payload, text = {key: value}, value
+        if isinstance(germ, HypersurfaceGerm) and value == "yes":
+            w = find_weights(germ.f)
+            if w is not None:
+                payload["weights"] = [str(x) for x in w]
+                text = "%s (weights %s)" % (value, ", ".join(payload["weights"]))
+    _emit(args.json, germ.ring, strategy, payload, text)
     return 0
 
 
-def _cmd_qh(args):
+def _cmd_report(args):
     germ = _resolve_germ(args)
     strategy = _resolve_strategy(args)
-    verdict = is_quasihomogeneous(germ, strategy=strategy, ceiling=args.ceiling)
-    payload = {"quasi_homogeneous": verdict}
-    text = verdict
-    if isinstance(germ, HypersurfaceGerm) and verdict == "yes":
-        w = find_weights(germ.f)
-        if w is not None:
-            payload["weights"] = [str(x) for x in w]
-            text = "%s (weights %s)" % (verdict, ", ".join(str(x) for x in w))
-    _emit(args, germ.ring, strategy, payload, text)
-    return 0
-
-
-def _report_out(args, germ, report):
-    strategy = _resolve_strategy(args)
-    if args.report or args.json:
-        out = report.to_json()
-        out.update(_envelope(germ.ring, strategy))
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(
-            "mu %s, tau %s, multiplicity %d, quasi-homogeneous %s"
-            % (
-                _dim_text(report.mu),
-                _dim_text(report.tau),
-                report.multiplicity,
-                report.quasi_homogeneous,
-            )
-        )
-    return 0
-
-
-def _cmd_ft(args):
-    germ = ft_germ(args.k, args.l, args.char if args.char is not None else 0)
-    strategy = _resolve_strategy(args)
     report = full_report(germ, strategy=strategy, ceiling=args.ceiling)
-    return _report_out(args, germ, report)
-
-
-def _cmd_zariski(args):
-    ring = _resolve_ring(args)
-    f = zariski_family(args.a, args.b, args.c, _parse_rational(args.t), ring=ring)
-    germ = HypersurfaceGerm(f)
-    strategy = _resolve_strategy(args)
-    report = full_report(germ, strategy=strategy, ceiling=args.ceiling)
-    return _report_out(args, germ, report)
+    text = "mu %s, tau %s, multiplicity %d, quasi-homogeneous %s" % (
+        _dim_text(report.mu),
+        _dim_text(report.tau),
+        report.multiplicity,
+        report.quasi_homogeneous,
+    )
+    _emit(args.json or args.report, germ.ring, strategy, report.to_json(), text)
+    return 0
 
 
 def _cmd_reiffen(args):
-    if args.family:
-        germ = _family_germ(args.family, args)
-        if not isinstance(germ, SpaceCurveGerm):
-            raise UsageError("reiffen needs a space-curve germ")
-        f, g = germ.f, germ.g
-    else:
-        polys = args.poly or []
-        if len(polys) != 2:
-            raise UsageError("reiffen needs --family ft:k,l or two --poly")
-        ring = _resolve_ring(args)
-        f, g = (parse_poly(s, ring) for s in polys)
+    if not args.family and len(args.poly or []) != 2:
+        raise UsageError("reiffen needs --family ft:k,l or two --poly")
+    germ = _resolve_germ(args)
+    if not isinstance(germ, SpaceCurveGerm):
+        raise UsageError("reiffen needs a space-curve germ")
     order = args.order
     if order != "auto":
         try:
@@ -364,24 +341,21 @@ def _cmd_reiffen(args):
         except ValueError:
             raise UsageError("--order takes an integer or auto") from None
     strategy = _resolve_strategy(args)
-    report = exactness_report(f, g, order, strategy=strategy, ceiling=args.ceiling)
-    if args.json:
-        out = report.to_json()
-        out.update(_envelope(f.ring, strategy))
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print("condition 1: %s" % report.condition1.label())
-        print(
-            "condition 2: mu %s = %s - %s (%s)"
-            % (
-                _dim_text(report.condition2.mu),
-                _dim_text(report.condition2.dim_omega2),
-                _dim_text(report.condition2.dim_omega3),
-                "holds" if report.condition2.holds else "fails",
-            )
-        )
-        print("quasi-homogeneous: %s" % report.quasi_homogeneous)
-        print("verdict: %s" % report.verdict)
+    report = exactness_report(germ.f, germ.g, order, strategy=strategy,
+                              ceiling=args.ceiling)
+    c2 = report.condition2
+    text = "\n".join((
+        "condition 1: %s" % report.condition1.label(),
+        "condition 2: mu %s = %s - %s (%s)" % (
+            _dim_text(c2.mu),
+            _dim_text(c2.dim_omega2),
+            _dim_text(c2.dim_omega3),
+            "holds" if c2.holds else "fails",
+        ),
+        "quasi-homogeneous: %s" % report.quasi_homogeneous,
+        "verdict: %s" % report.verdict,
+    ))
+    _emit(args.json, germ.ring, strategy, report.to_json(), text)
     return 0
 
 
@@ -412,9 +386,8 @@ def _staircase_digest(ring, basis, value):
     return h.hexdigest()[:16]
 
 
-def _bench_one(label, decl, strategy_text, ceiling):
-    ring = parse_ring(decl[0])
-    gens = [parse_poly(s, ring) for s in decl[1]]
+def _bench_one(label, gens, strategy_text, ceiling):
+    ring = gens[0].ring
     strategy = Strategy.from_text(strategy_text)
     t0 = time.perf_counter()
     value, basis = local_vdim(gens, strategy=strategy, ceiling=ceiling)
@@ -435,43 +408,24 @@ def _cmd_bench(args):
     if args.strategies:
         strategy_texts = [s.strip() for s in args.strategies.split(";") if s.strip()]
 
-    # assemble inputs as (label, (ring decl, generator texts))
-    inputs = []
-    families = [args.family] if args.family else []
-    if not families and not args.poly:
+    family = _family(args)
+    if family is None and not args.poly:
         raise UsageError("bench needs --family or --poly input")
-    base_ring = _resolve_ring(args)
-    orderings = [base_ring.ordering.token()]
+    base = _resolve_ring(args)
+    orderings = [base.ordering]
     if args.orderings:
-        orderings = [t.strip() for t in args.orderings.split(",") if t.strip()]
-    for fam in families:
-        for tok in orderings:
-            sub = argparse.Namespace(**vars(args))
-            sub.ordering = tok
-            germ = _family_germ(fam, sub)
-            if isinstance(germ, SpaceCurveGerm):
-                gens = [germ.f, germ.g] + list(germ.minors())
-            else:
-                f = germ.f
-                gens = [f] + [f.partial(i) for i in range(3)]
-            decl = (
-                "ring %d (%s) %s"
-                % (germ.ring.characteristic, ",".join(germ.ring.variables), tok),
-                [serialize(g) for g in gens],
-            )
-            inputs.append((fam, decl))
+        orderings = parse_orderings(args.orderings, base.n)
+    rings = [RingContext(base.characteristic, base.variables, o) for o in orderings]
+    inputs = []  # (label, generators)
+    if family:
+        inputs += [(args.family, _family_germ(family, r).tjurina_generators())
+                   for r in rings]
     if args.poly:
-        for tok in orderings:
-            decl = (
-                "ring %d (%s) %s"
-                % (base_ring.characteristic, ",".join(base_ring.variables), tok),
-                list(args.poly),
-            )
-            inputs.append(("ideal", decl))
+        inputs += [("ideal", [parse_poly(s, r) for s in args.poly]) for r in rings]
 
     records = [
-        _bench_one(label, decl, stext, args.ceiling)
-        for label, decl in inputs
+        _bench_one(label, gens, stext, args.ceiling)
+        for label, gens in inputs
         for stext in strategy_texts
     ]
 
@@ -524,7 +478,7 @@ def _cmd_selftest(args):
     return code
 
 
-def run_jobfile(path, *, json_out=False):
+def run_jobfile(path):
     """Execute a job file: ring declaration, bindings, then commands.
 
     A command with arguments applies to the named bindings; with none it
@@ -556,13 +510,6 @@ def run_jobfile(path, *, json_out=False):
             raise ParseError("no bindings to operate on", lineno, 1)
         return [bindings[n] for n in chosen]
 
-    def germ_of(ps, lineno):
-        if len(ps) == 1:
-            return HypersurfaceGerm(ps[0])
-        if len(ps) == 2:
-            return SpaceCurveGerm(ps[0], ps[1])
-        raise ParseError("a germ takes one or two equations", lineno, 1)
-
     for kind, payload, lineno in statements:
         try:
             if kind == "ring":
@@ -584,16 +531,9 @@ def run_jobfile(path, *, json_out=False):
                     print(serialize(g))
             elif cmd == "vdim":
                 print(_dim_text(local_vdim(polys(argnames, lineno))[0]))
-            elif cmd in ("milnor", "tjurina", "mult", "qh"):
-                germ = germ_of(polys(argnames, lineno), lineno)
-                if cmd == "milnor":
-                    print(_dim_text(milnor(germ)))
-                elif cmd == "tjurina":
-                    print(_dim_text(tjurina(germ)))
-                elif cmd == "mult":
-                    print(multiplicity(germ))
-                else:
-                    print(is_quasihomogeneous(germ))
+            elif cmd in _INVARIANTS:
+                fn, _ = _INVARIANTS[cmd]
+                print(_dim_text(fn(_germ_of(polys(argnames, lineno)))))
             elif cmd == "reiffen":
                 ps = polys(argnames, lineno)
                 if len(ps) != 2:
@@ -605,7 +545,7 @@ def run_jobfile(path, *, json_out=False):
                     print(serialize(p))
             else:
                 raise ParseError("unknown command %r" % cmd, lineno, 1)
-        except ParseError as exc:
+        except (ParseError, UsageError) as exc:
             print("germkit: %s:%s: %s" % (path, lineno, exc), file=sys.stderr)
             return 1
         except GermkitError as exc:
@@ -622,6 +562,21 @@ def run_jobfile(path, *, json_out=False):
 # entry point
 
 
+COMMANDS = {
+    "std": _cmd_std,
+    "vdim": _cmd_vdim,
+    "milnor": _cmd_invariant,
+    "tjurina": _cmd_invariant,
+    "mult": _cmd_invariant,
+    "qh": _cmd_invariant,
+    "ft": _cmd_report,
+    "zariski": _cmd_report,
+    "reiffen": _cmd_reiffen,
+    "bench": _cmd_bench,
+    "selftest": _cmd_selftest,
+}
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
@@ -636,24 +591,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.command == "std":
-            return _cmd_std(args)
-        if args.command == "vdim":
-            return _cmd_vdim(args)
-        if args.command in ("milnor", "tjurina", "mult"):
-            return _cmd_invariant(args)
-        if args.command == "qh":
-            return _cmd_qh(args)
-        if args.command == "ft":
-            return _cmd_ft(args)
-        if args.command == "zariski":
-            return _cmd_zariski(args)
-        if args.command == "reiffen":
-            return _cmd_reiffen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print("germkit %s: %s" % (args.command, exc), file=sys.stderr)
         return 2
@@ -666,7 +604,6 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 1
-    raise AssertionError("unhandled command %r" % args.command)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .errors import (
     WrongVariableCount,
     ZeroPolynomial,
 )
-from .parse import parse_poly, parse_ring
+from .parse import parse_ring
 from .ring import jacobian_minors, order_of
 from .stdbasis import DEFAULT_CEILING, INFINITE, Staircase, local_vdim, std
 
@@ -46,6 +46,10 @@ class HypersurfaceGerm:
     def jacobian(self):
         """The partial derivatives of f, zeros included."""
         return [self.f.partial(i) for i in range(self.ring.n)]
+
+    def tjurina_generators(self):
+        """f and its partial derivatives: the ideal whose quotient has dim tau."""
+        return [self.f] + self.jacobian()
 
     def __repr__(self):
         return "HypersurfaceGerm(%s)" % (self.f,)
@@ -75,6 +79,10 @@ class SpaceCurveGerm:
     def minors(self):
         """The three 2x2 minors of the Jacobian matrix of (f, g)."""
         return jacobian_minors(self.f, self.g)
+
+    def tjurina_generators(self):
+        """f, g and the three Jacobian minors: the ideal whose quotient has dim tau."""
+        return [self.f, self.g] + list(self.minors())
 
     def swapped(self):
         """The same curve with the roles of the two equations exchanged."""
@@ -126,9 +134,7 @@ def milnor_hypersurface(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
 
 def tjurina_hypersurface(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
     """tau = vdim of the ideal spanned by f and its partial derivatives."""
-    value, _ = local_vdim(
-        [germ.f] + germ.jacobian(), strategy=strategy, ceiling=ceiling
-    )
+    value, _ = local_vdim(germ.tjurina_generators(), strategy=strategy, ceiling=ceiling)
     return value
 
 
@@ -160,10 +166,7 @@ def milnor_space_curve(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
 
 def tjurina_space_curve(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
     """tau = vdim of the ideal of f, g and the three Jacobian minors."""
-    m1, m2, m3 = germ.minors()
-    value, _ = local_vdim(
-        [germ.f, germ.g, m1, m2, m3], strategy=strategy, ceiling=ceiling
-    )
+    value, _ = local_vdim(germ.tjurina_generators(), strategy=strategy, ceiling=ceiling)
     return value
 
 
@@ -358,18 +361,26 @@ def _eliminate(ineqs, k):
 # example families
 
 
-def ft_germ(k, l, characteristic=0):
+def ft_germ(k, l, ring=None):
     """The space curve with equations xy + z^(l-1) and xz + yz^2 + y^(k-1).
 
     Its invariants are mu = k + l + 2 and tau = k + l + 1, so the curve is
-    never quasi-homogeneous in the valid parameter range.
+    never quasi-homogeneous in the valid parameter range. The default ring
+    is characteristic 0 with the ds ordering; any ring must be local.
     """
     if not (4 <= l <= k and 5 <= k):
         raise ParameterOutOfRange("ft_germ needs 4 <= l <= k and 5 <= k")
-    ring = parse_ring("ring %d (x,y,z) ds" % characteristic)
-    f = parse_poly("x*y+z^%d" % (l - 1), ring)
-    g = parse_poly("x*z+y*z^2+y^%d" % (k - 1), ring)
-    return SpaceCurveGerm(f, g)
+    x, y, z = _three_variables(ring)
+    return SpaceCurveGerm(x * y + z ** (l - 1), x * z + y * z ** 2 + y ** (k - 1))
+
+
+def _three_variables(ring):
+    """The variables of a family's ring, by default ring 0 (x,y,z) ds."""
+    if ring is None:
+        ring = parse_ring("ring 0 (x,y,z) ds")
+    if ring.n != 3:
+        raise WrongVariableCount("the family lives in 3 variables")
+    return (ring.variable(i) for i in range(3))
 
 
 def zariski_family(a, b, c, t, ring=None):
@@ -382,12 +393,8 @@ def zariski_family(a, b, c, t, ring=None):
     """
     if a < 1 or b < 1 or c < 3:
         raise ParameterOutOfRange("zariski_family needs a, b >= 1 and c >= 3")
-    if ring is None:
-        ring = parse_ring("ring 0 (x,y,z) ds")
-    if ring.n != 3:
-        raise WrongVariableCount("the family lives in 3 variables")
-    x, y, z = (ring.variable(i) for i in range(3))
-    tc = ring.constant(t)
+    x, y, z = _three_variables(ring)
+    tc = x.ring.constant(t)
     return (
         x ** a
         + y ** b

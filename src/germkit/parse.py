@@ -13,7 +13,9 @@ Ring declarations follow the classical short syntax, e.g.
 ``ring 0 (x,y,z) ds`` or ``32003 (x,y) dp,ls`` (the leading ``ring`` keyword
 is optional). Ordering tokens: dp, Dp, lp, ds, ls, wp(w,...), ws(w,...);
 multi-block orderings use parenthesized sizes as in ``dp(2),ds(1)`` (the
-last block may omit its size and takes the remaining variables).
+last block may omit its size and takes the remaining variables). A list of
+orderings, as ``bench --orderings`` takes, splits after each block that
+covers the last variable.
 """
 
 from fractions import Fraction
@@ -125,6 +127,10 @@ class _Parser:
         tok = self.cur
         raise ParseError(message, tok.line, tok.col)
 
+    def expect_end(self, after):
+        if self.cur.kind != "end":
+            self.fail("unexpected %r after %s" % (_show(self.cur), after))
+
 
 def _show(tok):
     if tok.kind == "end":
@@ -194,14 +200,7 @@ def parse_poly(text, ring):
     """Parse an expression into a polynomial of the given ring."""
     p = _Parser(_tokenize(text))
     value = _parse_expr(p, ring)
-    tok = p.cur
-    if tok.kind != "end":
-        raise ParseError(
-            "unexpected %r after expression (implicit multiplication is not allowed)"
-            % _show(tok),
-            tok.line,
-            tok.col,
-        )
+    p.expect_end("expression (implicit multiplication is not allowed)")
     return value
 
 
@@ -236,13 +235,25 @@ def parse_ordering_tokens(text, n):
     """Parse an ordering token list (e.g. ``ds`` or ``dp(2),ls``)."""
     p = _Parser(_tokenize(text))
     spec = _parse_ordering(p, n)
-    tok = p.cur
-    if tok.kind != "end":
-        raise ParseError("unexpected %r after ordering" % _show(tok), tok.line, tok.col)
+    p.expect_end("ordering")
     return spec
 
 
-def _parse_ordering(p, n):
+def parse_orderings(text, n):
+    """Parse a comma list of orderings (e.g. ``ds,ls,dp(1),ds(1)`` for n = 2).
+
+    Each ordering ends at the block that covers the last of the n
+    variables, so a bare token is an ordering of its own.
+    """
+    p = _Parser(_tokenize(text))
+    specs = [_parse_ordering(p, n, several=True)]
+    while p.accept(","):
+        specs.append(_parse_ordering(p, n, several=True))
+    p.expect_end("ordering")
+    return specs
+
+
+def _parse_ordering(p, n, several=False):
     blocks = []
     remaining = n
     while True:
@@ -251,7 +262,7 @@ def _parse_ordering(p, n):
         blk = _parse_block(p, remaining)
         blocks.append(blk)
         remaining -= blk.size
-        if not p.accept(","):
+        if (several and remaining <= 0) or not p.accept(","):
             break
     if remaining != 0:
         tok = p.cur
@@ -275,9 +286,7 @@ def parse_ring(text):
         names.append(p.expect("name", "a variable name").value)
     p.expect(")", "')'")
     spec = _parse_ordering(p, len(names))
-    tok = p.cur
-    if tok.kind != "end":
-        raise ParseError("unexpected %r after ring declaration" % _show(tok), tok.line, tok.col)
+    p.expect_end("ring declaration")
     return RingContext(char_tok.value, names, spec)
 
 

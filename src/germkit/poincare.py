@@ -417,10 +417,10 @@ def reiffen_condition_1(f, g, order="auto", *, strategy=None, ceiling=DEFAULT_CE
     germ = SpaceCurveGerm(f, g)
     ring = germ.ring
     if order == "auto":
-        tjurina_gens = [f, g]
-        tjurina_gens.extend(f.partial(i) for i in range(3))
-        tjurina_gens.extend(g.partial(i) for i in range(3))
-        value, basis = local_vdim(tjurina_gens, strategy=strategy, ceiling=ceiling)
+        omega3_gens = [f, g]
+        omega3_gens.extend(f.partial(i) for i in range(3))
+        omega3_gens.extend(g.partial(i) for i in range(3))
+        value, basis = local_vdim(omega3_gens, strategy=strategy, ceiling=ceiling)
         if value is INFINITE:
             raise NonIsolated(
                 "the Tjurina algebra is not finite dimensional; pass an "

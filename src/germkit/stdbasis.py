@@ -6,9 +6,9 @@ polynomial itself joins the reducer set whenever every eligible reducer has
 a larger ecart. That self-extension is what makes reduction terminate in
 local rings, where naive division can cycle forever.
 
-The work polynomial of a reduction is kept in a geobucket (size-doubling
-buckets merged lazily) so that long reductions against short reducers do not
-pay a full-length merge per step.
+The work polynomial of a reduction is kept in a dict of terms with a heap of
+its codes, so that long reductions against short reducers pay per step only
+for the terms the reducer adds, never a merge with the whole remainder.
 """
 
 import heapq
@@ -124,118 +124,76 @@ class Stats:
 # work-polynomial accumulator
 
 
-class _Geobucket:
-    __slots__ = ("buckets", "_add", "p")
+class _WorkPoly:
+    """The work polynomial of a reduction: a dict from code to nonzero
+    coefficient, and a max-heap (negated codes) of every code added.
+
+    Adding a term is one dict update, so a reduction step costs the length
+    of the shifted reducer tail and no merge.  A code that cancels leaves
+    the dict but stays in the heap, and is skipped when popped.
+    """
+
+    __slots__ = ("terms", "heap", "_add", "p")
 
     def __init__(self, field):
-        self.buckets = []
+        self.terms = {}
+        self.heap = []
         self._add = field.add
         self.p = field.characteristic
 
-    def add_ascending(self, asc):
-        if not asc:
-            return
-        i = 0
-        while (4 << i) < len(asc):
-            i += 1
-        cur = asc
-        buckets = self.buckets
-        while i < len(buckets):
-            slot = buckets[i]
-            if slot:
-                cur = self._merge(slot, cur)
-                buckets[i] = []
-                if len(cur) > (4 << i):
-                    i += 1
-                    continue
-            buckets[i] = cur
-            return
-        buckets.append(cur)
-
-    def add_descending(self, terms):
-        self.add_ascending(terms[::-1])
-
-    def _merge(self, a, b):
-        out = []
-        push = out.append
-        i = j = 0
-        na = len(a)
-        nb = len(b)
+    def add(self, pairs):
+        """Add (code, coeff) pairs given in any order."""
+        terms = self.terms
+        get = terms.get
+        heap = self.heap
+        push = heapq.heappush
         p = self.p
         add = self._add
-        while i < na and j < nb:
-            ta = a[i]
-            tb = b[j]
-            if ta[0] < tb[0]:
-                push(ta)
-                i += 1
-            elif ta[0] > tb[0]:
-                push(tb)
-                j += 1
+        for c, v in pairs:
+            g = get(c)
+            if g is None:
+                terms[c] = v
+                push(heap, -c)
+                continue
+            if p:
+                s = g + v
+                if s >= p:
+                    s -= p
             else:
-                if p:
-                    s = ta[1] + tb[1]
-                    if s >= p:
-                        s -= p
-                else:
-                    s = add(ta[1], tb[1])
-                if s:
-                    push((ta[0], s))
-                i += 1
-                j += 1
-        if i < na:
-            out.extend(a[i:])
-        if j < nb:
-            out.extend(b[j:])
-        return out
+                s = add(g, v)
+            if s:
+                terms[c] = s
+            else:
+                del terms[c]
 
     def pop_lead(self):
         """Remove and return the leading (code, coeff), or None if zero."""
-        buckets = self.buckets
-        add = self._add
-        while True:
-            best_code = -1
-            found = False
-            for b in buckets:
-                if b:
-                    c = b[-1][0]
-                    if not found or c > best_code:
-                        best_code = c
-                        found = True
-            if not found:
-                return None
-            coeff = None
-            for b in buckets:
-                if b and b[-1][0] == best_code:
-                    t = b.pop()
-                    coeff = t[1] if coeff is None else add(coeff, t[1])
-            if coeff:
-                return (best_code, coeff)
+        terms = self.terms
+        heap = self.heap
+        pop = heapq.heappop
+        while heap:
+            c = -pop(heap)
+            v = terms.pop(c, None)
+            if v is not None:
+                return (c, v)
+        return None
 
     def drain_descending(self):
-        cur = []
-        for b in self.buckets:
-            if b:
-                cur = self._merge(cur, b)
-        self.buckets = []
-        cur.reverse()
-        return cur
+        out = sorted(self.terms.items(), reverse=True)
+        self.terms = {}
+        self.heap = []
+        return out
 
     def max_degree(self, deg_shift, deg_mask, location):
         """Max total degree over the remaining terms, or None if empty."""
-        best = None
-        for b in self.buckets:
-            if not b:
-                continue
-            if location == "last":
-                d = (b[0][0] >> deg_shift) & deg_mask
-            elif location == "first":
-                d = (b[-1][0] >> deg_shift) & deg_mask
-            else:
-                d = max((code >> deg_shift) & deg_mask for code, _ in b)
-            if best is None or d > best:
-                best = d
-        return best
+        terms = self.terms
+        if not terms:
+            return None
+        if location == "last":
+            return (min(terms) >> deg_shift) & deg_mask
+        if location == "first":
+            return (max(terms) >> deg_shift) & deg_mask
+        return max((code >> deg_shift) & deg_mask for code in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +389,8 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
     the first divisor seen at all is kept as the fallback.
     """
     extend = mora and bound >= _HUGE
-    bucket = _Geobucket(field)
-    bucket.add_descending(init_terms)
+    bucket = _WorkPoly(field)
+    bucket.add(init_terms)
     extras = []
     low_mask = lay.div_low_mask
     check_mask = lay.div_check_mask
@@ -520,7 +478,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
                 if tail:
                     inv = field.inv(hcoeff)
                     snap.extend(_scale(tail, inv, field))
-                    bucket.add_descending(tail)
+                    bucket.add(tail)
                 extras.append(
                     _Entry(snap, lay, location, _HUGE + len(extras), sugar, h_ecart)
                 )
@@ -530,7 +488,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
         delta = hcode - best.lead
         rc, rv = best.split_tail()
         if rc:
-            bucket.add_ascending(_shift(rc, rv, delta, hcoeff, bound, lay, field))
+            bucket.add(_shift(rc, rv, delta, hcoeff, bound, lay, field))
         s2 = best.sugar + ((delta >> deg_shift) & deg_mask)
         if s2 > sugar:
             sugar = s2

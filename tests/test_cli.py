@@ -74,6 +74,15 @@ def test_vdim_infinite(capsys):
     assert code == 0 and out.strip() == "infinite"
 
 
+@pytest.mark.parametrize("polys, want", [(["x^2", "y^3"], 6), (["x"], "infinite")])
+def test_vdim_json_value(capsys, polys, want):
+    argv = ["vdim", "--ring", "0 (x,y) ds", "--json"]
+    for s in polys:
+        argv += ["--poly", s]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["vdim"] == want
+
+
 def test_reiffen_text(capsys):
     code, out, _ = run(capsys, "reiffen", "--family", "ft:5,4")
     assert code == 0
@@ -88,6 +97,32 @@ def test_char_override(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["characteristic"] == 32003 and data["tau"] == 10
+
+
+def test_family_honors_ring(capsys):
+    code, out, _ = run(
+        capsys, "milnor", "--ring", "32003 (x,y,z) ds", "--family", "ft:5,4", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["characteristic"] == 32003 and data["mu"] == 11
+
+
+def test_family_honors_ordering(capsys):
+    code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--ordering", "ls", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ordering"] == "ls" and data["mu"] == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["std", "--family", "ft:5,4", "--ordering", "dp"],
+    ["ft", "--k", "5", "--l", "4", "--ordering", "dp"],
+    ["milnor", "--family", "zariski:16,12,4:t=1", "--ordering", "dp"],
+])
+def test_family_needs_local_ordering(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "ModeOrderingMismatch" in err
 
 
 def test_json_determinism(capsys):
@@ -118,6 +153,15 @@ def test_missing_input_is_usage_error(capsys):
 def test_unknown_family(capsys):
     code, _, err = run(capsys, "milnor", "--family", "brieskorn:2,3")
     assert code == 2 and "unknown family" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zariski", "--a", "16", "--b", "12", "--c", "4", "--t", "abc"],
+    ["milnor", "--family", "zariski:16,12,4:t=1/0"],
+])
+def test_bad_family_parameter_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "t takes an integer or a fraction" in err
 
 
 def test_no_command_prints_usage(capsys):
@@ -268,6 +312,17 @@ def test_bench_digests_agree(capsys):
     assert len(records) == 4
     assert len({r["digest"] for r in records}) == 1
     assert all(r["pairs"] > 0 for r in records)
+
+
+def test_bench_block_orderings(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--ring", "0 (x,y) ds", "--poly", "x^2+y^5", "--poly", "y^3",
+        "--orderings", "ds,ls,dp(1),ds(1)", "--json",
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert sorted(r["ordering"] for r in records) == ["dp(1),ds(1)", "ds", "ls"]
+    assert len({r["digest"] for r in records}) == 1
 
 
 def test_bench_table_output(capsys):

@@ -173,6 +173,14 @@ def test_space_curve_validation():
 # the deformation family
 
 
+def test_ft_germ_in_a_given_ring():
+    germ = ft_germ(5, 4, ring=parse_ring("ring 0 (a,b,c) ds"))
+    assert serialize(germ.f) == "a*b+c^3"
+    assert milnor(germ) == 11
+    with pytest.raises(WrongVariableCount):
+        ft_germ(5, 4, ring=parse_ring("ring 0 (a,b) ds"))
+
+
 def test_zariski_family_shape():
     f0 = zariski_family(40, 30, 8, 0)
     f1 = zariski_family(40, 30, 8, 1)
@@ -206,6 +214,6 @@ def test_full_report():
 
 
 def test_full_report_flags_char_p():
-    report = full_report(ft_germ(5, 4, characteristic=32003))
+    report = full_report(ft_germ(5, 4, ring=parse_ring("ring 32003 (x,y,z) ds")))
     assert report.quasi_homogeneous == "undetermined"
     assert report.note

@@ -6,6 +6,7 @@ import pytest
 
 from germkit import parse_job, parse_poly, parse_ring, serialize
 from germkit.errors import ParseError
+from germkit.parse import parse_orderings
 
 SEED = 71
 
@@ -21,6 +22,16 @@ def test_ring_declaration_forms():
     assert r3.ordering.token() == "dp(2),ds(1)"
     r4 = parse_ring("ring 0 (x,y,z) wp(1,2,3)")
     assert r4.ordering.token() == "wp(1,2,3)"
+
+
+def test_ordering_list_splits_where_blocks_cover_all_variables():
+    specs = parse_orderings("ds,ls,dp(1),ds(1),wp(2,3)", 2)
+    assert [s.token() for s in specs] == ["ds", "ls", "dp(1),ds(1)", "wp(2,3)"]
+    with pytest.raises(ParseError) as e:
+        parse_orderings("ds,dp(1)", 2)
+    assert "cover 1 of 2" in str(e.value)
+    with pytest.raises(ParseError):
+        parse_orderings("ds,", 2)
 
 
 def test_expression_grammar():
