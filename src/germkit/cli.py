@@ -379,9 +379,7 @@ def _staircase_digest(ring, basis, value):
         leads = sorted(basis.leading_exponents())
         h.update(("leads=%r" % (leads,)).encode())
     else:
-        counts = basis.staircase().counts_by_degree(highest_corner(basis))
-        while counts and counts[-1] == 0:
-            counts.pop()
+        counts = basis.staircase().counts_by_degree(highest_corner(basis) - 1)
         h.update(("vdim=%d;counts=%r" % (value, tuple(counts))).encode())
     return h.hexdigest()[:16]
 

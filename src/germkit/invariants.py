@@ -200,9 +200,9 @@ def multiplicity(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
     For a hypersurface this is the order of the equation. For a curve it
     is the degree of the tangent cone, read off the leading ideal of
     (f, g): the Hilbert function of the quotient stabilizes at the number
-    of infinite monomial rays of the staircase, and that count equals, per
-    axis, the number of standard monomials of the staircase projected
-    along the axis.
+    of infinite monomial rays of the staircase, and that count is the sum,
+    over the axes, of the dimension of the staircase projected along the
+    axis (the sum of its per-degree counts).
     """
     if isinstance(germ, HypersurfaceGerm):
         return order_of(germ.f)
@@ -216,7 +216,7 @@ def multiplicity(germ, *, strategy=None, ceiling=DEFAULT_CEILING):
         flat = Staircase(2, None, [(p, 0) for p in proj])
         if not flat.is_finite():
             raise NonIsolated("the two equations do not define an isolated curve")
-        total += len(flat.std_exponents(0))
+        total += sum(flat.counts_by_degree())
     return total
 
 

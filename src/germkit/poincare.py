@@ -423,8 +423,8 @@ def reiffen_condition_1(f, g, order="auto", *, strategy=None, ceiling=DEFAULT_CE
         value, basis = local_vdim(omega3_gens, strategy=strategy, ceiling=ceiling)
         if value is INFINITE:
             raise NonIsolated(
-                "the Tjurina algebra is not finite dimensional; pass an "
-                "explicit truncation order instead of auto"
+                "the quotient by <f,g> + j(f) + j(g) is not finite "
+                "dimensional; pass an explicit truncation order instead of auto"
             )
         order = highest_corner(basis) + 2
     if not isinstance(order, int) or order < 0:

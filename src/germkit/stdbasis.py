@@ -11,6 +11,7 @@ its codes, so that long reductions against short reducers pay per step only
 for the terms the reducer adds, never a merge with the whole remainder.
 """
 
+import bisect
 import heapq
 import time
 from dataclasses import dataclass
@@ -376,27 +377,28 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
 
     `entries` is read-only and must already be in scan order for the rule:
     (ecart, seq)-sorted for min-ecart, insertion order for first-found.  In
-    tangent-cone mode snapshots of the work polynomial are appended to a
-    local extras list, exactly when the chosen reducer's ecart exceeds the
-    current ecart.
+    tangent-cone mode snapshots of the work polynomial join a local copy of
+    that scan list (in key order for min-ecart, at the end for first-found),
+    exactly when the chosen reducer's ecart exceeds the current ecart.
 
-    Termination of the unbounded tangent-cone loop needs one guarantee from
-    the selection: whenever some divisor has ecart at most the remainder's,
-    such a divisor is chosen (so snapshots happen only when every divisor
-    would raise the ecart).  Ecart-sorted scanning gives that for free; in
-    first-found mode an unguarded first hit does not, and the degrees can
-    ratchet without bound, so there the first qualifying divisor wins and
-    the first divisor seen at all is kept as the fallback.
+    The first divisor in the scan wins, except in unbounded first-found
+    mode: termination of the tangent-cone loop needs a divisor of ecart at
+    most the remainder's to be chosen whenever one exists (so snapshots
+    happen only when every divisor would raise the ecart).  Ecart-sorted
+    scanning gives that for free; an unguarded first hit does not, and the
+    degrees can ratchet without bound, so there the first qualifying
+    divisor wins and the first divisor seen at all is the fallback.
     """
     extend = mora and bound >= _HUGE
     bucket = _WorkPoly(field)
     bucket.add(init_terms)
-    extras = []
+    scan = entries
     low_mask = lay.div_low_mask
     check_mask = lay.div_check_mask
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
     min_ecart = reducer_rule == "min-ecart"
+    guard = extend and not min_ecart
     reds = 0
 
     while True:
@@ -413,51 +415,16 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
             if rest_deg is not None and rest_deg > hdeg:
                 h_ecart = rest_deg - hdeg
 
-        # first hit wins: for min-ecart the caller pre-sorted `entries` by
-        # (ecart, seq), so the first divisor found is the chosen one
-        best = None
-        if extend and not min_ecart:
-            fallback = None
-            for e in entries:
-                if not ((hcode - e.lead) & low_mask) & check_mask:
-                    if e.ecart <= h_ecart:
-                        best = e
-                        break
-                    if fallback is None:
-                        fallback = e
-            if best is None:
-                for e in extras:
-                    if not ((hcode - e.lead) & low_mask) & check_mask:
-                        if e.ecart <= h_ecart:
-                            best = e
-                            break
-                        if fallback is None:
-                            fallback = e
-            if best is None:
-                best = fallback
-        else:
-            for e in entries:
-                if not ((hcode - e.lead) & low_mask) & check_mask:
+        best = fallback = None
+        for e in scan:
+            if not ((hcode - e.lead) & low_mask) & check_mask:
+                if not guard or e.ecart <= h_ecart:
                     best = e
                     break
-            if extras:
-                if min_ecart:
-                    bk = (
-                        (best.ecart, len(best.terms), best.seq)
-                        if best is not None
-                        else None
-                    )
-                    for e in extras:
-                        if not ((hcode - e.lead) & low_mask) & check_mask:
-                            k = (e.ecart, len(e.terms), e.seq)
-                            if bk is None or k < bk:
-                                bk = k
-                                best = e
-                elif best is None:
-                    for e in extras:
-                        if not ((hcode - e.lead) & low_mask) & check_mask:
-                            best = e
-                            break
+                if fallback is None:
+                    fallback = e
+        if best is None:
+            best = fallback
 
         if best is None:
             tail = bucket.drain_descending()
@@ -479,9 +446,13 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
                     inv = field.inv(hcoeff)
                     snap.extend(_scale(tail, inv, field))
                     bucket.add(tail)
-                extras.append(
-                    _Entry(snap, lay, location, _HUGE + len(extras), sugar, h_ecart)
-                )
+                snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
+                if scan is entries:
+                    scan = list(entries)
+                if min_ecart:
+                    bisect.insort(scan, snap, key=_scan_key)
+                else:
+                    scan.append(snap)
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
@@ -561,19 +532,12 @@ class _StdEngine:
         if self._corner_wait > 0:
             return
         self._corner_wait = 8
-        st = Staircase(
-            self.ring.n, None, [(e.lead_exps, 0) for e in self.entries]
-        )
-        cap = self.bound - 1
-        top = -1
-        for m in st.std_exponents(0, degree_cap=cap):
-            d = sum(m)
-            if d > top:
-                top = d
-        # a top at the cap proves nothing: the true staircase may go on
-        if top >= cap:
+        st = Staircase(self.ring.n, None, [(e.lead_exps, 0) for e in self.entries])
+        counts = st.counts_by_degree(self.bound - 1)
+        # a count at the cap proves nothing: the true staircase may go on
+        if counts[-1]:
             return
-        self.bound = top + 1
+        self.bound = _corner(counts)
         lay = self.lay
         for e in self.entries:
             if lay.degree(e.lead) >= self.bound:
@@ -651,8 +615,8 @@ class _StdEngine:
                 kept.append(members[0])
                 self.stats.discarded += len(members) - 1
             survivors = sorted(kept)
-
-        if self.use_product:
+        elif self.use_product:
+            # the equal-lcm step above already drops every coprime pair
             final = []
             for i in survivors:
                 if new[i] == entries[i].lead + lead - lay.code_one:
@@ -969,7 +933,13 @@ def is_member(f, basis, ceiling=DEFAULT_CEILING):
 
 
 class Staircase:
-    """Monomial data of a leading module: minimal generators per component."""
+    """Monomial data of a leading module: minimal generators per component.
+
+    Every query slices a component's monomial ideal by the first exponent
+    (see _runs). Dimension, corner and jet queries read the per-degree
+    counts of counts_by_degree; only std_exponents, which kbase needs,
+    lists monomials.
+    """
 
     def __init__(self, n, rank, lead_exponents):
         self.n = n
@@ -1008,44 +978,29 @@ class Staircase:
                 return False
         return True
 
-    def std_exponents(self, comp, degree_cap=None):
-        """Exponent tuples outside the component's leading ideal."""
-        gens = self.gens.get(comp, ())
-        if any(not any(e) for e in gens):
-            return []
-        n = self.n
-        out = []
-        stack = [((0,) * n, 0)]
-        while stack:
-            m, minvar = stack.pop()
-            hit = False
-            for g in gens:
-                for a, b in zip(g, m):
-                    if a > b:
-                        break
-                else:
-                    hit = True
-                    break
-            if hit:
-                continue
-            out.append(m)
-            d = sum(m)
-            if degree_cap is not None and d + 1 > degree_cap:
-                continue
-            for v in range(minvar, n):
-                child = m[:v] + (m[v] + 1,) + m[v + 1 :]
-                stack.append((child, v))
-        return out
+    def _top_bound(self):
+        """No standard monomial of a finite staircase has degree above the
+        largest sum of pure powers minus n over its non-unit components."""
+        if not self.is_finite():
+            raise InfiniteDimensional("quotient is not finite dimensional")
+        return max(
+            (sum(self.pure_power_degrees(c)) - self.n
+             for c in self.components() if not self.contains_origin(c)),
+            default=-1,
+        )
 
-    def counts_by_degree(self, degree_cap):
-        """Number of standard monomials per total degree, all components."""
-        counts = [0] * (degree_cap + 1)
-        for comp in self.components():
-            for m in self.std_exponents(comp, degree_cap=degree_cap):
-                d = sum(m)
-                if d <= degree_cap:
-                    counts[d] += 1
-        return counts
+    def std_exponents(self, comp):
+        """Exponent tuples outside the component's leading ideal (finite only)."""
+        return _std_listing(self.gens.get(comp, ()), self.n, self._top_bound())
+
+    def counts_by_degree(self, cap=None):
+        """Standard monomials per total degree 0..cap, summed over components;
+        cap defaults to the top-degree bound of a finite staircase."""
+        if cap is None:
+            cap = self._top_bound()
+        per_comp = [_degree_counts(self.gens.get(c, ()), self.n, cap)
+                    for c in self.components()]
+        return [sum(col) for col in zip(*per_comp)]
 
 
 def _minimalize_monomials(monos):
@@ -1064,17 +1019,71 @@ def _minimalize_monomials(monos):
     return out
 
 
+def _runs(gens, cap):
+    """Slice a monomial ideal by the first exponent: yields (lo, hi, rest)
+    for each run of equal slices from 0 up to cap. For lo <= a < hi, x0^a * m
+    is standard iff m is standard for rest, the tails of the generators with
+    first exponent <= lo (a list grown in place). Stops at a pure power of
+    x0, past which every slice is the unit ideal."""
+    gens = sorted(gens)
+    rest = []
+    lo = i = 0
+    while lo <= cap:
+        while i < len(gens) and gens[i][0] <= lo:
+            tail = gens[i][1:]
+            i += 1
+            if not any(tail):
+                return
+            rest.append(tail)
+        hi = gens[i][0] if i < len(gens) else cap + 1
+        yield lo, hi, rest
+        lo = hi
+
+
+def _degree_counts(gens, n, cap):
+    """Standard monomials of the ideal of `gens` in n variables, per degree
+    0..cap. A run's slice is counted once; shifted by every a in [lo, hi)
+    it adds c[d-hi+1] + ... + c[d-lo] at degree d, a running window sum."""
+    counts = [0] * (cap + 1)
+    if n == 0:
+        counts[0] = 1  # _runs never passes the unit ideal down
+        return counts
+    for lo, hi, rest in _runs(gens, cap):
+        c = _degree_counts(rest, n - 1, cap - lo)
+        width = hi - lo
+        w = 0
+        for j, v in enumerate(c):
+            w += v
+            if j >= width:
+                w -= c[j - width]
+            counts[lo + j] += w
+    return counts
+
+
+def _std_listing(gens, n, cap):
+    """Standard exponent tuples of a finite staircase whose standard
+    monomials all have degree <= cap, by the slicing of _degree_counts."""
+    if n == 0:
+        return [()]
+    out = []
+    for lo, hi, rest in _runs(gens, cap):
+        tails = _std_listing(rest, n - 1, cap - lo)
+        out.extend((a,) + m for a in range(lo, hi) for m in tails)
+    return out
+
+
+def _corner(counts):
+    """Standard degrees run without a gap from 0, so the degree just past
+    the top one is the number of degrees that carry a count."""
+    return sum(map(bool, counts))
+
+
 def vdim(basis):
     """Dimension of the quotient by the leading module; INFINITE if not finite."""
     if basis.jet is not None:
         raise ValueError("basis is jet-truncated; use jet_dimensions")
     st = basis.staircase()
-    if not st.is_finite():
-        return INFINITE
-    total = 0
-    for comp in st.components():
-        total += len(st.std_exponents(comp))
-    return total
+    return sum(st.counts_by_degree()) if st.is_finite() else INFINITE
 
 
 def kbase(basis):
@@ -1082,21 +1091,17 @@ def kbase(basis):
     if basis.jet is not None:
         raise ValueError("basis is jet-truncated; use jet_dimensions")
     st = basis.staircase()
-    if not st.is_finite():
-        raise InfiniteDimensional("quotient is not finite dimensional")
     ring = basis.ring
     if basis.rank is None:
         monos = st.std_exponents(0)
         monos.sort(key=ring.monomial_key)
         return [ring.monomial(m) for m in monos]
     lay = ring.module_layout
-    items = []
-    for comp in st.components():
-        for m in st.std_exponents(comp):
-            items.append((lay.encode(m, comp), m, comp))
-    items.sort()
+    codes = sorted(
+        lay.encode(m, c) for c in st.components() for m in st.std_exponents(c)
+    )
     one = ring.field.one
-    return [VectorElement(ring, basis.rank, [(code, one)]) for code, _, _ in items]
+    return [VectorElement(ring, basis.rank, [(code, one)]) for code in codes]
 
 
 def highest_corner(basis):
@@ -1111,14 +1116,11 @@ def highest_corner(basis):
         counts, certified = jet_dimensions(basis)
         if not certified:
             raise ValueError("jet-truncated basis does not certify its corner")
-        return 1 + max((d for d, c in enumerate(counts) if c), default=-1)
-    st = basis.staircase()
-    if not st.is_finite():
+    elif basis.staircase().is_finite():
+        counts = basis.staircase().counts_by_degree()
+    else:
         return INFINITE
-    monos = st.std_exponents(0)
-    if not monos:
-        return 0
-    return 1 + max(sum(m) for m in monos)
+    return _corner(counts)
 
 
 def jet_dimensions(basis):
@@ -1131,11 +1133,8 @@ def jet_dimensions(basis):
     """
     if basis.jet is None:
         raise ValueError("basis was not jet-truncated")
-    cap = basis.jet - 1
-    st = basis.staircase()
-    counts = st.counts_by_degree(cap)
-    certified = counts[cap] == 0
-    return counts, certified
+    counts = basis.staircase().counts_by_degree(basis.jet - 1)
+    return counts, counts[-1] == 0
 
 
 def local_vdim(generators, *, start_jet=32, strategy=None, ceiling=DEFAULT_CEILING):

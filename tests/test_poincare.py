@@ -232,7 +232,7 @@ def test_condition_1_order_zero_is_vacuous(ring):
 
 def test_non_isolated_pair_raises(ring):
     # the combined ideal (x^2, x^3) + j = (x): no pure y or z power
-    with pytest.raises(NonIsolated):
+    with pytest.raises(NonIsolated, match=r"<f,g> \+ j\(f\) \+ j\(g\)"):
         reiffen_condition_1(parse_poly("x^2", ring), parse_poly("x^3", ring))
 
 
