@@ -30,6 +30,7 @@ lives only in `bench`, whose millis column is expected to vary run to run.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -69,10 +70,6 @@ class UsageError(Exception):
     pass
 
 
-def _env(name, default=None):
-    return os.environ.get("GERMKIT_" + name, default)
-
-
 def _dim_text(value):
     return "infinite" if value is INFINITE else str(value)
 
@@ -81,29 +78,39 @@ def _dim_text(value):
 # configuration plumbing
 
 
-def _build_parser():
+def _germkit_env():
+    """The GERMKIT_* variables, prefix dropped, as sorted (name, value) pairs."""
+    return tuple(sorted((k[8:], v) for k, v in os.environ.items()
+                        if k.startswith("GERMKIT_")))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_parser(env):
+    """The argument parser whose defaults fall back on `env` (_germkit_env()),
+    built once per distinct set of values."""
+    env = dict(env)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", default=_env("RING"), metavar="DECL",
+    common.add_argument("--ring", default=env.get("RING"), metavar="DECL",
                         help='ring declaration, e.g. "0 (x,y,z) ds"')
     common.add_argument("--poly", action="append", default=None, metavar="EXPR",
                         help="polynomial (repeatable)")
     common.add_argument("--family", default=None, metavar="SPEC",
                         help="zariski:a,b,c:t=q or ft:k,l")
-    common.add_argument("--ordering", default=_env("ORDERING"), metavar="TOKENS",
+    common.add_argument("--ordering", default=env.get("ORDERING"), metavar="TOKENS",
                         help="ordering override, e.g. ds or dp(2),ds(1)")
-    common.add_argument("--char", type=int, default=_env("CHAR"), metavar="P",
+    common.add_argument("--char", type=int, default=env.get("CHAR"), metavar="P",
                         help="characteristic override")
-    common.add_argument("--strategy", default=_env("STRATEGY"), metavar="OPTS",
+    common.add_argument("--strategy", default=env.get("STRATEGY"), metavar="OPTS",
                         help="comma list: sugar|min-lcm-degree|fifo, "
                              "min-ecart|first-found, [no-]product, [no-]chain")
     # string defaults go through type=int, so a bad variable is a usage error
     common.add_argument("--ceiling", type=int,
-                        default=_env("CEILING", str(DEFAULT_CEILING)),
+                        default=env.get("CEILING", str(DEFAULT_CEILING)),
                         metavar="N", help="reduction-step ceiling")
-    common.add_argument("--seed", type=int, default=_env("SEED", "20250819"),
+    common.add_argument("--seed", type=int, default=env.get("SEED", "20250819"),
                         metavar="N", help="seed for randomized suites")
     common.add_argument("--json", action="store_true",
-                        default=_env("JSON", "") not in ("", "0"),
+                        default=env.get("JSON", "") not in ("", "0"),
                         help="emit a JSON report")
 
     top = argparse.ArgumentParser(prog="germkit", description=__doc__,
@@ -138,7 +145,7 @@ def _build_parser():
 
     re_ = sub.add_parser("reiffen", parents=[common],
                          help="Poincare-complex exactness report")
-    re_.add_argument("--order", default=_env("ORDER", "auto"), metavar="N",
+    re_.add_argument("--order", default=env.get("ORDER", "auto"), metavar="N",
                      help="condition-1 truncation order, or auto")
 
     be = sub.add_parser("bench", parents=[common],
@@ -583,7 +590,7 @@ def main(argv=None):
             return 2
         return run_jobfile(argv[0])
 
-    parser = _build_parser()
+    parser = _build_parser(_germkit_env())
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

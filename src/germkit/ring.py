@@ -129,20 +129,9 @@ class OrderingSpec:
         if self.module_rule not in (TERM_OVER_POSITION, POSITION_OVER_TERM):
             raise BadOrdering("unknown module rule %r" % (self.module_rule,))
 
-    @classmethod
-    def single(cls, kind, size, weights=None, module_rule=TERM_OVER_POSITION):
-        return cls((Block(kind, size, weights),), module_rule)
-
     @property
     def total_size(self):
         return sum(b.size for b in self.blocks)
-
-    @property
-    def var_is_global(self):
-        flags = []
-        for b in self.blocks:
-            flags.extend([b.is_global] * b.size)
-        return tuple(flags)
 
     @property
     def is_global(self):
@@ -151,10 +140,6 @@ class OrderingSpec:
     @property
     def is_local(self):
         return not any(b.is_global for b in self.blocks)
-
-    @property
-    def is_mixed(self):
-        return not self.is_global and not self.is_local
 
     def token(self):
         with_size = len(self.blocks) > 1
@@ -406,10 +391,6 @@ class RingContext:
     def is_local(self):
         return self.ordering.is_local
 
-    @property
-    def is_mixed(self):
-        return self.ordering.is_mixed
-
     def _key(self):
         return (self.characteristic, self.variables, self.ordering)
 
@@ -458,30 +439,12 @@ class RingContext:
             return Polynomial(self, [])
         return Polynomial(self, [(self.layout.encode(tuple(exps)), c)])
 
-    def from_dict(self, coeffs):
-        """Polynomial from {exponent tuple: coefficient}."""
-        terms = []
-        for exps, coeff in coeffs.items():
-            c = self.field.coerce(coeff)
-            if c:
-                terms.append((self.layout.encode(tuple(exps)), c))
-        terms.sort(reverse=True)
-        return Polynomial(self, terms)
-
     # -- ordering ----------------------------------------------------------
 
     def compare(self, exps_a, exps_b):
         """-1, 0 or 1 as the first monomial is smaller, equal or greater."""
         a = self.layout.encode(tuple(exps_a))
         b = self.layout.encode(tuple(exps_b))
-        return (a > b) - (a < b)
-
-    def compare_module_terms(self, term_a, term_b):
-        """Compare (exponents, component) pairs under the module ordering."""
-        (ea, ca), (eb, cb) = term_a, term_b
-        lay = self.module_layout
-        a = lay.encode(tuple(ea), ca)
-        b = lay.encode(tuple(eb), cb)
         return (a > b) - (a < b)
 
     def monomial_key(self, exps):
@@ -595,34 +558,11 @@ class Polynomial:
         decode = self.ring.layout.decode_exps
         return [(c, decode(code)) for code, c in self._terms]
 
-    def monomials(self):
-        decode = self.ring.layout.decode_exps
-        return [decode(code) for code, _ in self._terms]
-
-    def coefficient(self, exps):
-        code = self.ring.layout.encode(tuple(exps))
-        for k, c in self._terms:
-            if k == code:
-                return c
-        return self.ring.field.zero
-
-    @property
-    def lead_coefficient(self):
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        return self._terms[0][1]
-
     @property
     def lead_exponents(self):
         if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         return self.ring.layout.decode_exps(self._terms[0][0])
-
-    def lead_monomial(self):
-        return self.ring.monomial(self.lead_exponents)
-
-    def lead_term(self):
-        return self.ring.monomial(self.lead_exponents, self.lead_coefficient)
 
     def total_degree(self):
         if not self._terms:
@@ -749,41 +689,6 @@ class Polynomial:
             if nc:
                 out.append((code - delta, nc))
         return Polynomial(ring, out)
-
-    def substitute(self, assignment):
-        """Simultaneously replace variables by polynomials or scalars."""
-        ring = self.ring
-        images = {}
-        for key, value in assignment.items():
-            v = ring.var_index(key) if isinstance(key, str) else key
-            if not 0 <= v < ring.n:
-                raise IndexOutOfRange("variable index %r" % (key,))
-            if isinstance(value, VectorElement):
-                raise TypeError("cannot substitute a module element")
-            if not isinstance(value, Polynomial):
-                value = ring.constant(value)
-            elif value.ring != ring:
-                raise RingMismatch("substitution image lives in a different ring")
-            images[v] = value
-        power_cache = {}
-
-        def image_power(v, e):
-            key = (v, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = power_cache[key] = images[v] ** e
-            return got
-
-        lay = ring.layout
-        total = ring.zero()
-        for c, exps in self.terms():
-            kept = tuple(e if v not in images else 0 for v, e in enumerate(exps))
-            part = Polynomial(ring, [(lay.encode(kept), c)])
-            for v, e in enumerate(exps):
-                if v in images and e:
-                    part = part * image_power(v, e)
-            total = total + part
-        return total
 
     def weighted_degree(self, weights):
         """Common weighted degree of all terms, or None if they disagree."""

@@ -39,6 +39,7 @@ from .ring import (
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
+FIRST_JET = 32  # local_vdim's first jet
 MAX_JET = 4096  # local_vdim's last jet before it runs untruncated
 _HUGE = 1 << 60
 
@@ -476,7 +477,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
 
 
 class _StdEngine:
-    def __init__(self, ring, rank, strategy, mora, ceiling, truncation, jet=None):
+    def __init__(self, ring, rank, strategy, mora, ceiling, jet=None):
         self.ring = ring
         self.rank = rank
         self.lay = ring.layout if rank is None else ring.module_layout
@@ -490,54 +491,39 @@ class _StdEngine:
         self.pairs = {}  # (i, j) -> lcm code
         self.heap = []
         self.pair_seq = 0
-        self.truncation = truncation
         self.scan_order = []
         self.bound = jet if jet is not None else _HUGE
-        self.pure = [_HUGE] * ring.n
-        self._corner_wait = 0
+        self.cut_at_corner = _jet_eligible(ring, rank)
         # product criterion is only sound when every variable is global
         self.use_product = strategy.product_criterion and ring.is_global
         self.use_chain = strategy.chain_criterion
 
     # -- truncation bookkeeping -----------------------------------------
 
-    def _note_lead(self, exps):
-        # dynamic tightening is per-component territory; scalar only
-        if not self.truncation:
-            return
-        nz = [v for v, e in enumerate(exps) if e]
-        if len(nz) == 1:
-            v = nz[0]
-            if exps[v] < self.pure[v]:
-                self.pure[v] = exps[v]
-                if all(p < _HUGE for p in self.pure):
-                    b = sum(self.pure) - len(self.pure) + 1
-                    if b < self.bound:
-                        self.bound = b
-
     def _tighten_corner(self):
-        """Shrink the truncation bound to just past the staircase top.
+        """Shrink the truncation bound to the corner of the current leads.
 
-        Once a pure power of every variable has shown up the current
-        staircase is finite.  Every monomial of degree above its top is a
-        multiple of some established lead, so nothing below the jet is
-        lost by cutting there; the pure-power sum used in _note_lead is
-        only an upper estimate of the same corner.
+        The leads found so far generate a monomial submodule of the leading
+        module, so every monomial of degree at or above its corner is a lead
+        multiple and cutting there loses nothing below the jet.  An infinite
+        staircase has a standard monomial in every degree, so it has no
+        corner; counts up to a cap below the top of a finite one prove the
+        corner only when their top slot is empty.
         """
-        if self.rank is not None or not 48 < self.bound < _HUGE:
+        st = Staircase(
+            self.ring.n, self.rank, [(e.lead_exps, e.comp or 0) for e in self.entries]
+        )
+        if not st.is_finite():
             return
-        if any(p is _HUGE for p in self.pure):
+        top = st._top_bound()
+        cap = min(self.bound - 1, top)
+        counts = st.counts_by_degree(cap)
+        if cap < top and counts[-1]:
             return
-        self._corner_wait -= 1
-        if self._corner_wait > 0:
+        corner = _corner(counts)
+        if corner == self.bound:
             return
-        self._corner_wait = 8
-        st = Staircase(self.ring.n, None, [(e.lead_exps, 0) for e in self.entries])
-        counts = st.counts_by_degree(self.bound - 1)
-        # a count at the cap proves nothing: the true staircase may go on
-        if counts[-1]:
-            return
-        self.bound = _corner(counts)
+        self.bound = corner
         lay = self.lay
         for e in self.entries:
             if lay.degree(e.lead) >= self.bound:
@@ -649,8 +635,8 @@ class _StdEngine:
                 self.stats.discarded += 1
 
         entries.append(entry)
-        self._note_lead(lead_exps)
-        self._tighten_corner()
+        if self.cut_at_corner:
+            self._tighten_corner()
         # ties in ecart go to the shortest tail: cheaper to apply, and a
         # monomial reducer deletes the term outright
         self.scan_order = sorted(entries, key=_scan_key)
@@ -816,9 +802,11 @@ def std(
     reduction otherwise; 'buchberger' insists and raises for non-global
     orderings; 'mora' always uses tangent-cone reduction (valid anywhere).
 
-    For zero-dimensional runs under a pure local degree ordering, terms above
-    a degree bound derived from the pure powers already found are discarded
-    on the fly; this never changes the leading module or the staircase.
+    Under a pure local degree ordering (for a module, term over position),
+    once the leads found so far span a finite staircase, terms at or above
+    its corner (the least degree whose monomials are all lead multiples) are
+    discarded on the fly; this never changes the leading module or the
+    staircase, only the tails.
 
     jet=K computes a standard basis of the input plus the K-th power of the
     maximal ideal (every term of degree >= K is dropped throughout); the
@@ -849,7 +837,6 @@ def std(
         strategy = Strategy()
     mora = _uses_mora(mode, ring)
 
-    truncation = rank is None and _jet_eligible(ring, rank)
     if jet is not None:
         if not isinstance(jet, int) or jet < 1:
             raise ValueError("jet must be a positive integer")
@@ -859,7 +846,7 @@ def std(
             )
 
     t0 = time.perf_counter()
-    engine = _StdEngine(ring, rank, strategy, mora, ceiling, truncation, jet)
+    engine = _StdEngine(ring, rank, strategy, mora, ceiling, jet)
     lay = engine.lay
     seeds = []
     for g in gens:
@@ -1137,23 +1124,23 @@ def jet_dimensions(basis):
     return counts, counts[-1] == 0
 
 
-def local_vdim(generators, *, start_jet=32, strategy=None, ceiling=DEFAULT_CEILING):
+def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
     """(vdim, basis) of the span of `generators`, under any ordering.
 
     This is the dimension entry point: it always equals vdim(std(...)).
-    Under a local degree ordering it runs jets of increasing order, each
-    modulo the jet-th power of the maximal ideal; once the top degree
-    carries no standard monomial the count is exact and is returned with
-    its (jet-truncated) basis, which highest_corner accepts. Every other
-    ordering, an all-zero input, or a ladder past MAX_JET gets one
-    untruncated run, which decides INFINITE honestly. The returned basis's
-    stats cover every run made.
+    Under a local degree ordering it runs jets of increasing order, from
+    FIRST_JET, each modulo the jet-th power of the maximal ideal; once the
+    top degree carries no standard monomial the count is exact and is
+    returned with its (jet-truncated) basis, which highest_corner accepts.
+    Every other ordering, an all-zero input, or a ladder past MAX_JET gets
+    one untruncated run, which decides INFINITE honestly. The returned
+    basis's stats cover every run made.
     """
     generators = list(generators)
     gens = [g for g in generators if g]
     total = Stats()
     if gens and _jet_eligible(gens[0].ring, _rank_of(gens[0])):
-        k = max(2, start_jet)
+        k = FIRST_JET
         while k <= MAX_JET:
             basis = std(gens, strategy, ceiling=ceiling, jet=k)
             total.add(basis.stats)
@@ -1161,19 +1148,12 @@ def local_vdim(generators, *, start_jet=32, strategy=None, ceiling=DEFAULT_CEILI
             if ok:
                 basis.stats = total
                 return sum(counts), basis
-            # leads below the jet are genuine, so once every component shows
-            # a pure power in each variable the staircase degree is bounded
-            # and the next jet can be chosen exactly sufficient
+            # the leads below the jet are leads of the input, so the corner
+            # of the staircase they span bounds the true corner, and a jet
+            # one past it certifies
             st = basis.staircase()
-            need = 0
-            for comp in st.components():
-                pures = st.pure_power_degrees(comp)
-                if not all(p is not None for p in pures):
-                    need = None
-                    break
-                need = max(need, sum(pures) - len(pures) + 2)
-            if need is not None and k < need < 2 * k:
-                k = need
+            if st.is_finite():
+                k = min(_corner(st.counts_by_degree()) + 1, 2 * k)
             else:
                 k = 2 * k
     basis = std(generators, strategy, ceiling=ceiling)

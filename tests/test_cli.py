@@ -189,6 +189,16 @@ def test_bad_integer_environment_exits_two(capsys, monkeypatch, name):
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
+def test_environment_read_on_every_call(capsys, monkeypatch):
+    chars = []
+    for value in ("32003", "101"):
+        monkeypatch.setenv("GERMKIT_CHAR", value)
+        code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--json")
+        assert code == 0
+        chars.append(json.loads(out)["characteristic"])
+    assert chars == [32003, 101]
+
+
 def test_char_environment_fallback(capsys, monkeypatch):
     monkeypatch.setenv("GERMKIT_CHAR", "32003")
     code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--json")
@@ -334,14 +344,14 @@ def test_bench_table_output(capsys):
 
 
 def test_bench_counts_every_jet_rung(capsys):
-    # the Tjurina ideal of this member runs jets 32 -> 64 -> 107
+    # the Tjurina ideal of this member runs jets 32 -> 64 -> 68
     code, out, _ = run(
         capsys, "bench", "--ring", "32003 (x,y,z) ds",
         "--family", "zariski:40,30,8:t=0", "--json",
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 14 + 439 + 799
+    assert record["reductions"] == 14 + 439 + 683
 
 
 # ---------------------------------------------------------------------------

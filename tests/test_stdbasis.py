@@ -6,6 +6,7 @@ import pytest
 
 from germkit import (
     INFINITE,
+    HypersurfaceGerm,
     Staircase,
     Strategy,
     VectorElement,
@@ -22,6 +23,7 @@ from germkit import (
     spoly,
     std,
     vdim,
+    zariski_family,
 )
 from germkit.errors import (
     InfiniteDimensional,
@@ -317,19 +319,38 @@ def test_local_vdim_drives_jets():
 
 
 def test_local_vdim_stats_cover_every_rung():
-    ring = _ring("ds")
-    gens = [parse_poly(s, ring) for s in ("x^2+y^3", "x*y-z^4", "z^2-x*y^2")]
-    value, basis = local_vdim(gens, start_jet=2)
-    assert (value, basis.jet) == (10, 8)  # jets 2 -> 4 -> 8
-    rungs = [std(gens, jet=k).stats for k in (2, 4, 8)]
+    # the Tjurina ideal of the paper's Zariski member runs jets 32 -> 64 -> 68
+    ring = _ring("ds", char=32003)
+    gens = HypersurfaceGerm(zariski_family(40, 30, 8, 0, ring)).tjurina_generators()
+    value, basis = local_vdim(gens)
+    assert (value, basis.jet) == (8985, 68)
+    rungs = [std(gens, jet=k).stats for k in (32, 64, 68)]
     for name in ("pairs", "discarded", "reductions"):
         assert getattr(basis.stats, name) == sum(getattr(s, name) for s in rungs)
     assert basis.stats.pairs > rungs[-1].pairs
 
 
+def test_next_jet_is_one_past_the_rung_corner():
+    # the leads of the failed jet-32 rung span a finite staircase, whose
+    # corner bounds the true one: the second rung certifies below 64
+    ring = _ring("ds", char=32003)
+    gens = HypersurfaceGerm(zariski_family(16, 12, 4, 1, ring)).jacobian()
+    first = std(gens, jet=32)
+    assert not jet_dimensions(first)[1]
+    st = first.staircase()
+    assert st.is_finite()
+    corner = 1 + max(d for d, c in enumerate(st.counts_by_degree()) if c)
+    value, basis = local_vdim(gens)
+    assert value == 891
+    assert basis.jet == corner + 1 < 64
+    second = std(gens, jet=basis.jet)
+    assert basis.stats.reductions == first.stats.reductions + second.stats.reductions
+
+
 def test_corner_tightening_on_oversized_jet():
     # bound 128 with a staircase topping out below 20: the run must shrink
-    # its own bound once pure powers appear, without changing any answer
+    # its own bound once its leads span a finite staircase, without
+    # changing any answer
     from germkit import ft_germ
 
     germ = ft_germ(8, 8)
@@ -339,6 +360,18 @@ def test_corner_tightening_on_oversized_jet():
     counts, certified = jet_dimensions(jb)
     assert certified
     assert sum(counts) == want
+
+
+def test_module_corner_tightening_on_oversized_jet():
+    # the same for a term-over-position module: the Omega^2 presentation
+    from germkit import OmegaPresentation, ft_germ
+
+    germ = ft_germ(8, 8)
+    gens = OmegaPresentation(germ.f, germ.g, 2).generators
+    jb = std(gens, jet=128)
+    counts, certified = jet_dimensions(jb)
+    assert certified
+    assert counts == std(gens).staircase().counts_by_degree(127)
 
 
 def test_vdim_queries_reject_jet_bases():
