@@ -33,21 +33,20 @@ from .poincare import (
     wedge,
 )
 from .ring import order_of
-from .stdbasis import Strategy, highest_corner, local_vdim, normal_form, std
+from .stdbasis import (
+    PAIR_SELECTIONS,
+    REDUCER_SELECTIONS,
+    Strategy,
+    highest_corner,
+    local_vdim,
+    normal_form,
+    std,
+)
 
 DEFAULT_SEED = 20250819
 
 ALL_STRATEGIES = tuple(
-    Strategy(
-        pair_selection=p,
-        reducer_selection=r,
-        product_criterion=pc,
-        chain_criterion=cc,
-    )
-    for p in ("min-lcm-degree", "sugar", "fifo")
-    for r in ("min-ecart", "first-found")
-    for pc in (True, False)
-    for cc in (True, False)
+    Strategy(p, r) for p in PAIR_SELECTIONS for r in REDUCER_SELECTIONS
 )
 
 

@@ -20,6 +20,12 @@ ordering grammar, each ending at the block that covers the last variable:
 in two variables ds,ls,dp(1),ds(1) is three orderings. JSON dimensions
 (mu, tau, vdim) are integers or "infinite".
 
+A --strategy is a comma list of a pair selection (sugar, min-lcm-degree,
+fifo) and a reducer selection (min-ecart, first-found); bench --strategies
+takes several, separated by semicolons, and checks them all before it runs
+any. An unknown token is a usage error. The chain and product criteria of
+Gebauer-Moeller are no options: every run applies them.
+
 Every flag has a GERMKIT_* environment variable fallback (GERMKIT_RING,
 GERMKIT_ORDERING, GERMKIT_STRATEGY, GERMKIT_CHAR, GERMKIT_ORDER,
 GERMKIT_JSON, GERMKIT_CEILING, GERMKIT_SEED); flags win.
@@ -59,6 +65,8 @@ from .ring import RingContext
 from .stdbasis import (
     DEFAULT_CEILING,
     INFINITE,
+    PAIR_SELECTIONS,
+    REDUCER_SELECTIONS,
     Strategy,
     highest_corner,
     local_vdim,
@@ -101,8 +109,8 @@ def _build_parser(env):
     common.add_argument("--char", type=int, default=env.get("CHAR"), metavar="P",
                         help="characteristic override")
     common.add_argument("--strategy", default=env.get("STRATEGY"), metavar="OPTS",
-                        help="comma list: sugar|min-lcm-degree|fifo, "
-                             "min-ecart|first-found, [no-]product, [no-]chain")
+                        help="comma list: %s, %s" % ("|".join(PAIR_SELECTIONS),
+                                                     "|".join(REDUCER_SELECTIONS)))
     # string defaults go through type=int, so a bad variable is a usage error
     common.add_argument("--ceiling", type=int,
                         default=env.get("CEILING", str(DEFAULT_CEILING)),
@@ -163,10 +171,15 @@ def _build_parser(env):
     return top
 
 
+def _parse_strategy(text):
+    try:
+        return Strategy.from_text(text)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def _resolve_strategy(args):
-    if args.strategy:
-        return Strategy.from_text(args.strategy)
-    return Strategy()
+    return _parse_strategy(args.strategy or "")
 
 
 def _resolve_ring(args):
@@ -391,9 +404,8 @@ def _staircase_digest(ring, basis, value):
     return h.hexdigest()[:16]
 
 
-def _bench_one(label, gens, strategy_text, ceiling):
+def _bench_one(label, gens, strategy_text, strategy, ceiling):
     ring = gens[0].ring
-    strategy = Strategy.from_text(strategy_text)
     t0 = time.perf_counter()
     value, basis = local_vdim(gens, strategy=strategy, ceiling=ceiling)
     millis = int((time.perf_counter() - t0) * 1000)
@@ -412,6 +424,7 @@ def _cmd_bench(args):
     strategy_texts = ["sugar,min-ecart"]
     if args.strategies:
         strategy_texts = [s.strip() for s in args.strategies.split(";") if s.strip()]
+    strategies = [(text, _parse_strategy(text)) for text in strategy_texts]
 
     family = _family(args)
     if family is None and not args.poly:
@@ -429,9 +442,9 @@ def _cmd_bench(args):
         inputs += [("ideal", [parse_poly(s, r) for s in args.poly]) for r in rings]
 
     records = [
-        _bench_one(label, gens, stext, args.ceiling)
+        _bench_one(label, gens, text, strategy, args.ceiling)
         for label, gens in inputs
-        for stext in strategy_texts
+        for text, strategy in strategies
     ]
 
     by_input = {}

@@ -44,59 +44,49 @@ MAX_JET = 4096  # local_vdim's last jet before it runs untruncated
 _HUGE = 1 << 60
 
 
+PAIR_SELECTIONS = ("sugar", "min-lcm-degree", "fifo")
+REDUCER_SELECTIONS = ("min-ecart", "first-found")
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Tuning knobs for std; every combination computes the same ideal.
 
-    pair_selection: 'sugar' | 'min-lcm-degree' | 'fifo'
-    reducer_selection: 'min-ecart' | 'first-found'
-    product_criterion / chain_criterion: pair-discarding shortcuts.
+    pair_selection: one of PAIR_SELECTIONS, the key of the pair queue.
+    reducer_selection: one of REDUCER_SELECTIONS, the reducer a step uses.
 
-    The product (coprimality) shortcut is only applied under global
-    orderings; for local leading terms a divisor can sit above the tail,
-    which breaks its correctness proof, so there it is a no-op.
+    std always applies the Gebauer-Moeller chain and product criteria;
+    neither is a knob, since switching one off never made a run faster.
     """
 
     pair_selection: str = "sugar"
     reducer_selection: str = "min-ecart"
-    product_criterion: bool = True
-    chain_criterion: bool = True
 
     def __post_init__(self):
-        if self.pair_selection not in ("sugar", "min-lcm-degree", "fifo"):
+        if self.pair_selection not in PAIR_SELECTIONS:
             raise ValueError("bad pair selection %r" % (self.pair_selection,))
-        if self.reducer_selection not in ("min-ecart", "first-found"):
+        if self.reducer_selection not in REDUCER_SELECTIONS:
             raise ValueError("bad reducer selection %r" % (self.reducer_selection,))
 
     @classmethod
     def from_text(cls, text):
-        """Parse 'sugar,min-ecart,product,chain' style option lists."""
-        pair = "sugar"
-        reducer = "min-ecart"
-        product = True
-        chain = True
+        """Parse a comma list such as 'fifo,first-found'; the last token of
+        each kind wins and a missing kind keeps its default."""
+        fields = {}
         for raw in text.split(","):
             tok = raw.strip()
-            if not tok:
-                continue
-            if tok in ("sugar", "min-lcm-degree", "fifo"):
-                pair = tok
-            elif tok in ("min-ecart", "first-found"):
-                reducer = tok
-            elif tok in ("product", "no-product"):
-                product = tok == "product"
-            elif tok in ("chain", "no-chain"):
-                chain = tok == "chain"
-            else:
+            if tok in PAIR_SELECTIONS:
+                fields["pair_selection"] = tok
+            elif tok in REDUCER_SELECTIONS:
+                fields["reducer_selection"] = tok
+            elif tok:
                 raise ValueError("unknown strategy token %r" % tok)
-        return cls(pair, reducer, product, chain)
+        return cls(**fields)
 
     def to_json(self):
         return {
             "pair_selection": self.pair_selection,
             "reducer_selection": self.reducer_selection,
-            "product_criterion": self.product_criterion,
-            "chain_criterion": self.chain_criterion,
         }
 
 
@@ -494,9 +484,6 @@ class _StdEngine:
         self.scan_order = []
         self.bound = jet if jet is not None else _HUGE
         self.cut_at_corner = _jet_eligible(ring, rank)
-        # product criterion is only sound when every variable is global
-        self.use_product = strategy.product_criterion and ring.is_global
-        self.use_chain = strategy.chain_criterion
 
     # -- truncation bookkeeping -----------------------------------------
 
@@ -546,93 +533,62 @@ class _StdEngine:
     # -- pair bookkeeping -------------------------------------------------
 
     def insert(self, terms, sugar):
-        """Add a monic element and update the pair queue (Gebauer-Moeller)."""
+        """Add a monic element and update the pairs (Gebauer-Moeller).
+
+        The lcm code of the new lead with each entry of its component is
+        computed once; the new pairs and the deletion of old pairs both read
+        it. Codes are affine in the exponents, so an lcm is the entry's lead
+        shifted by the variable deltas of the new lead's excess exponents.
+        """
         lay = self.lay
         entries = self.entries
         t = len(entries)
         entry = _Entry(terms, lay, self.location, t, sugar)
         lead = entry.lead
-        lead_exps = entry.lead_exps
+        exps = entry.lead_exps
         comp = entry.comp
-        mono = len(terms) == 1
-        new = {}
-        for i, other in enumerate(entries):
-            if comp is not None and other.comp != comp:
-                continue
-            if mono and len(other.terms) == 1:
-                continue  # s-polynomial of two monomials is identically zero
-            lexps = tuple(max(a, b) for a, b in zip(other.lead_exps, lead_exps))
-            new[i] = lay.encode(lexps, comp)
+        deltas = lay.var_deltas
+        lcms = {
+            i: e.lead + sum((a - b) * d for a, b, d in zip(exps, e.lead_exps, deltas)
+                            if a > b)
+            for i, e in enumerate(entries)
+            if e.comp == comp
+        }
+        # the s-polynomial of two monomials is identically zero
+        new = [i for i in lcms if len(terms) > 1 or len(entries[i].terms) > 1]
         self.stats.pairs += len(new)
 
-        survivors = sorted(new)
-        if self.use_chain and new:
-            kept = []
-            for i in survivors:
-                li = new[i]
-                drop = False
-                for j in survivors:
-                    if j == i:
-                        continue
-                    lj = new[j]
-                    if lj != li and lay.divides(lj, li):
-                        drop = True
-                        break
-                if drop:
-                    self.stats.discarded += 1
-                else:
-                    kept.append(i)
-            # one representative per equal-lcm class; a coprime member
-            # (when the product shortcut applies) kills the whole class
-            by_lcm = {}
-            for i in kept:
-                by_lcm.setdefault(new[i], []).append(i)
-            kept = []
-            for lcm_code, members in sorted(by_lcm.items()):
-                if self.use_product:
-                    prod = None
-                    for i in members:
-                        if lcm_code == entries[i].lead + lead - self.lay.code_one:
-                            prod = i
-                            break
-                    if prod is not None:
-                        self.stats.discarded += len(members)
-                        continue
-                kept.append(members[0])
-                self.stats.discarded += len(members) - 1
-            survivors = sorted(kept)
-        elif self.use_product:
-            # the equal-lcm step above already drops every coprime pair
-            final = []
-            for i in survivors:
-                if new[i] == entries[i].lead + lead - lay.code_one:
-                    self.stats.discarded += 1
-                else:
-                    final.append(i)
-            survivors = final
+        # one representative per equal-lcm class; the class dies when another
+        # new lcm strictly divides its own (chain), or, when every variable
+        # is global, when one of its leads is coprime to the new one
+        # (product: for local leads a divisor can sit above the tail)
+        by_lcm = {}
+        for i in new:
+            by_lcm.setdefault(lcms[i], []).append(i)
+        product_applies = self.ring.is_global
+        survivors = []
+        for lcm_code, members in sorted(by_lcm.items()):
+            chained = any(lj != lcm_code and lay.divides(lj, lcm_code) for lj in by_lcm)
+            if chained or product_applies and any(
+                lcm_code == entries[i].lead + lead - lay.code_one for i in members
+            ):
+                self.stats.discarded += len(members)
+                continue
+            survivors.append(members[0])
+            self.stats.discarded += len(members) - 1
+        survivors.sort()
 
-        if self.use_chain:
-            # old pairs whose lcm is strictly refined by the new lead die
-            dead = []
-            for (i, j), lcm_code in self.pairs.items():
-                if not lay.divides(lead, lcm_code):
-                    continue
-                li = lay.encode(
-                    tuple(max(a, b) for a, b in zip(entries[i].lead_exps, lead_exps)),
-                    entries[i].comp,
-                )
-                if li == lcm_code:
-                    continue
-                lj = lay.encode(
-                    tuple(max(a, b) for a, b in zip(entries[j].lead_exps, lead_exps)),
-                    entries[j].comp,
-                )
-                if lj == lcm_code:
-                    continue
-                dead.append((i, j))
-            for key in dead:
-                del self.pairs[key]
-                self.stats.discarded += 1
+        # old pairs whose lcm the new lead strictly refines die
+        dead = [
+            (i, j)
+            for (i, j), lcm_code in self.pairs.items()
+            if lay.divides(lead, lcm_code)
+            and lcms[i] != lcm_code
+            and lcms[j] != lcm_code
+        ]
+        for key in dead:
+            del self.pairs[key]
+        self.stats.discarded += len(dead)
 
         entries.append(entry)
         if self.cut_at_corner:
@@ -642,7 +598,7 @@ class _StdEngine:
         self.scan_order = sorted(entries, key=_scan_key)
         lay_deg = lay.degree
         for i in survivors:
-            lcm_code = new[i]
+            lcm_code = lcms[i]
             deg_lcm = lay_deg(lcm_code)
             if deg_lcm >= self.bound:
                 # every term of the s-polynomial sits at or above the lcm

@@ -199,6 +199,38 @@ def test_environment_read_on_every_call(capsys, monkeypatch):
     assert chars == [32003, 101]
 
 
+VDIM_ARGV = ["vdim", "--ring", "0 (x,y) ds", "--poly", "x^2", "--poly", "y^3"]
+
+
+def test_unknown_strategy_flag_is_usage_error(capsys):
+    code, out, err = run(capsys, *VDIM_ARGV, "--strategy", "bogus")
+    assert (code, out) == (2, "")
+    assert err == "germkit vdim: unknown strategy token 'bogus'\n"
+
+
+def test_unknown_strategy_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GERMKIT_STRATEGY", "sugar,bogus")
+    code, out, err = run(capsys, *VDIM_ARGV)
+    assert (code, out) == (2, "")
+    assert err == "germkit vdim: unknown strategy token 'bogus'\n"
+
+
+def test_bench_checks_every_strategy_before_running(capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr("germkit.cli._bench_one", lambda *a: runs.append(a))
+    code, out, err = run(capsys, "bench", "--family", "ft:5,4",
+                         "--strategies", "sugar;bogus")
+    assert (code, out, runs) == (2, "", [])
+    assert err == "germkit bench: unknown strategy token 'bogus'\n"
+
+
+@pytest.mark.parametrize("token", ["chain", "no-chain", "product", "no-product"])
+def test_pair_criteria_are_not_strategy_tokens(capsys, token):
+    code, _, err = run(capsys, *VDIM_ARGV, "--strategy", "sugar," + token)
+    assert code == 2
+    assert err == "germkit vdim: unknown strategy token %r\n" % token
+
+
 def test_char_environment_fallback(capsys, monkeypatch):
     monkeypatch.setenv("GERMKIT_CHAR", "32003")
     code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--json")

@@ -31,6 +31,7 @@ from germkit.errors import (
     ResourceExhausted,
     ZeroPolynomial,
 )
+from germkit.stdbasis import PAIR_SELECTIONS, REDUCER_SELECTIONS
 
 SEED = 20259
 
@@ -180,16 +181,78 @@ def test_minimality_no_lead_divides_another():
 
 
 def test_strategy_invariance_spot_check():
-    ring = _ring("ds")
-    gens = [parse_poly(s, ring) for s in ("x^2+y^3", "x*y-z^4", "z^2-x*y^2")]
-    reference = None
-    for pair in ("sugar", "min-lcm-degree", "fifo"):
-        for red in ("min-ecart", "first-found"):
-            basis = std(gens, Strategy(pair, red, False, False))
-            if reference is None:
-                reference = _lead_set(basis)
-            else:
-                assert _lead_set(basis) == reference
+    # under dp the product criterion discards pairs too
+    for tok in ("ds", "dp"):
+        ring = _ring(tok)
+        gens = [parse_poly(s, ring) for s in ("x^2+y^3", "x*y-z^4", "z^2-x*y^2")]
+        leads = {
+            tuple(_lead_set(std(gens, Strategy(pair, red))))
+            for pair in PAIR_SELECTIONS
+            for red in REDUCER_SELECTIONS
+        }
+        assert len(leads) == 1
+
+
+def _random_poly(rng, ring, max_terms, max_deg, coefficients):
+    """A sum of up to max_terms terms of degrees 1..max_deg, with
+    coefficients drawn from the given sequence."""
+    p = ring.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        e = [0] * ring.n
+        for _ in range(rng.randint(1, max_deg)):
+            e[rng.randrange(ring.n)] += 1
+        p = p + ring.monomial(tuple(e), rng.choice(coefficients))
+    return p
+
+
+def _random_std_inputs(rng, count):
+    """Random ideals over F_32003 under dp, ds, ls and dp(1),ds(2), and
+    rank-2 modules under ds, in turn."""
+    p = 32003
+    units = range(1, p)
+    for k in range(count):
+        tok = ("dp", "ds", "ls", "dp(1),ds(2)", "module")[k % 5]
+        if tok == "module":
+            ring = _ring("ds", p, "x,y")
+            gens = [
+                VectorElement.from_components(
+                    [_random_poly(rng, ring, 3, 3, units) for _ in range(2)]
+                )
+                for _ in range(rng.randint(2, 4))
+            ]
+        else:
+            names = "x,y,z" if tok == "dp(1),ds(2)" else rng.choice(["x,y", "x,y,z"])
+            ring = _ring(tok, p, names)
+            gens = [
+                _random_poly(rng, ring, 3, 4, units)
+                for _ in range(rng.randint(2, 4))
+            ]
+        yield [g for g in gens if g]
+
+
+def test_std_output_passes_the_spoly_criterion():
+    """Buchberger/Mora criterion, independent of the pair criteria: every
+    s-polynomial of two output generators in one component reduces to 0."""
+    rng = random.Random(SEED)
+    checked = 0
+    for gens in _random_std_inputs(rng, 600):
+        if not gens:
+            continue
+        try:
+            basis = std(gens, ceiling=5000)
+            comps = [c for _, c in basis.leading_exponents()]
+            out = list(basis)
+            remainders = [
+                normal_form(spoly(out[i], out[j]), basis, ceiling=5000)
+                for i in range(len(out))
+                for j in range(i)
+                if comps[i] == comps[j]
+            ]
+        except ResourceExhausted:
+            continue  # a few unbounded Mora runs outgrow the ceiling
+        assert not any(remainders), [str(g) for g in gens]
+        checked += 1
+    assert checked >= 590
 
 
 def test_buchberger_against_sympy():
@@ -202,6 +265,15 @@ def test_buchberger_against_sympy():
         ("x^3-y^2", "y^3-x*z", "x*y-z^2"),
         ("x^2+y^2+z^2-1", "x*y-z", "y*z-x"),
     ]
+    # random ideals over Q in 2-3 variables, where the product criterion fires
+    rng = random.Random(SEED)
+    for _ in range(40):
+        small = _ring("dp", names=rng.choice(["x,y", "x,y,z"]))
+        gens = [
+            _random_poly(rng, small, 3, 3, (-3, -2, -1, 1, 2, 3))
+            for _ in range(rng.randint(2, 3))
+        ]
+        cases.append(tuple(serialize(g) for g in gens if g))
     for texts in cases:
         ours = std([parse_poly(t, ring) for t in texts], mode="buchberger")
         theirs = sympy.groebner(
@@ -213,7 +285,7 @@ def test_buchberger_against_sympy():
             tuple(int(e) for e in p.LM(order="grevlex").exponents)
             for p in theirs.polys
         )
-        assert _lead_set(ours) == lead
+        assert _lead_set(ours) == lead, texts
 
 
 def test_reduction_ceiling():
