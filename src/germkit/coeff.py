@@ -2,8 +2,10 @@
 
 Scalars are plain Python values so the polynomial engine stays cheap: a
 `fractions.Fraction` in characteristic 0, an int in [0, p) in characteristic
-p. A Field object carries the arithmetic; polynomials never look at their
-coefficients except through it.
+p. A Field object carries the arithmetic of polynomials. The one exception is
+the reduction kernel of `stdbasis`: it reads each coefficient as an integer
+numerator over a denominator (a residue's denominator is 1), reduces on the
+integers, and hands back Fractions or residues, so no gcd runs per term.
 """
 
 from fractions import Fraction

@@ -9,12 +9,23 @@ local rings, where naive division can cycle forever.
 The work polynomial of a reduction is kept in a dict of terms with a heap of
 its codes, so that long reductions against short reducers pay per step only
 for the terms the reducer adds, never a merge with the whole remainder.
+
+Reduction is fraction-free: the work polynomial and the reducer tails hold
+integer numerators over one common denominator each (over a prime field the
+residues themselves, over the denominator 1), and a step over Q is a
+pseudo-division on those integers. Rationals are formed only where terms
+enter or leave a reduction, so every value std and normal_form return is the
+exact one.
 """
 
 import bisect
 import heapq
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 from .errors import (
     ComponentMismatch,
@@ -117,49 +128,53 @@ class Stats:
 
 
 class _WorkPoly:
-    """The work polynomial of a reduction: a dict from code to nonzero
-    coefficient, and a max-heap (negated codes) of every code added.
+    """The work polynomial of a reduction: integer numerators over the
+    common denominator `den`, in a dict from code to nonzero numerator, and
+    a max-heap (negated codes) of every code added.
 
     Adding a term is one dict update, so a reduction step costs the length
     of the shifted reducer tail and no merge.  A code that cancels leaves
-    the dict but stays in the heap, and is skipped when popped.
+    the dict but stays in the heap, and is skipped when popped.  Over F_p
+    the numerators are residues in [0, p) and `den` stays 1.
     """
 
-    __slots__ = ("terms", "heap", "_add", "p")
+    __slots__ = ("terms", "heap", "p", "den")
 
-    def __init__(self, field):
-        self.terms = {}
-        self.heap = []
-        self._add = field.add
-        self.p = field.characteristic
+    def __init__(self, p, den, terms):
+        self.terms = dict(terms)
+        self.heap = [-c for c, _ in terms]
+        heapq.heapify(self.heap)
+        self.p = p
+        self.den = den
 
     def add(self, pairs):
-        """Add (code, coeff) pairs given in any order."""
+        """Add (code, numerator) pairs given in any order."""
         terms = self.terms
         get = terms.get
         heap = self.heap
         push = heapq.heappush
         p = self.p
-        add = self._add
         for c, v in pairs:
             g = get(c)
             if g is None:
                 terms[c] = v
                 push(heap, -c)
                 continue
-            if p:
-                s = g + v
-                if s >= p:
-                    s -= p
-            else:
-                s = add(g, v)
+            s = g + v
+            if p and s >= p:
+                s -= p
             if s:
                 terms[c] = s
             else:
                 del terms[c]
 
+    def rescale(self, a):
+        """Multiply every numerator and the denominator by a."""
+        self.terms = {c: v * a for c, v in self.terms.items()}
+        self.den *= a
+
     def pop_lead(self):
-        """Remove and return the leading (code, coeff), or None if zero."""
+        """Remove and return the leading (code, numerator), or None if zero."""
         terms = self.terms
         heap = self.heap
         pop = heapq.heappop
@@ -202,7 +217,8 @@ class _Entry:
         "sugar",
         "seq",
         "rcodes",
-        "rcoeffs",
+        "rden",
+        "rnums",
     )
 
     def __init__(self, terms, lay, location, seq, sugar=None, ecart_=None):
@@ -222,14 +238,17 @@ class _Entry:
         self.sugar = sugar
         self.seq = seq
         self.rcodes = None  # tail codes, ascending; built on first use
-        self.rcoeffs = None
+        self.rden = None
+        self.rnums = None
 
     def split_tail(self):
+        """(codes, L, numerators) of the tail in ascending order: the tail
+        is the numerators over their least common denominator L."""
         if self.rcodes is None:
-            tail = self.terms[:0:-1]
+            self.rden, tail = _integral(self.terms[:0:-1])
             self.rcodes = [t[0] for t in tail]
-            self.rcoeffs = [t[1] for t in tail]
-        return self.rcodes, self.rcoeffs
+            self.rnums = [t[1] for t in tail]
+        return self.rcodes, self.rden, self.rnums
 
 
 def _scan_key(e):
@@ -304,9 +323,9 @@ def spoly(f, g):
     location = ring.degree_location
     ef = _Entry(_monic(tf, field), lay, location, 0)
     eg = _Entry(_monic(tg, field), lay, location, 1)
-    lcm = tuple(max(a, b) for a, b in zip(ef.lead_exps, eg.lead_exps))
-    lcm_code = lay.encode(lcm, ef.comp)
-    return _wrap(f, ring, _spoly_terms(ef, eg, lcm_code, lay, field, _HUGE), rank)
+    lcm_code = lay.encode(tuple(map(max, ef.lead_exps, eg.lead_exps)), ef.comp)
+    den, terms = _spoly_terms(ef, eg, lcm_code, lay, field, _HUGE)
+    return _wrap(f, ring, _over(terms, den, field.characteristic), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -318,53 +337,81 @@ def _monic(terms, field):
     return terms if lc == field.one else _scale(terms, field.inv(lc), field)
 
 
-def _shift(codes, coeffs, delta, c, bound, lay, field):
-    """The terms of -c * x^delta * (codes, coeffs) of degree below bound,
-    in the input order (either direction)."""
+def _integral(terms):
+    """(D, terms over D): D is the least common denominator of the
+    coefficients and each becomes its integer numerator over D. Residues
+    are ints, whose denominator is 1. With D = 1 each numerator is the
+    coefficient's own int object, so a cached tail allocates no new ints."""
+    den = lcm(*{v.denominator for _, v in terms})
+    if den == 1:
+        return 1, [(c, v.numerator) for c, v in terms]
+    return den, [(c, v.numerator * (den // v.denominator)) for c, v in terms]
+
+
+def _over(terms, den, p):
+    """The field values of integer numerators over den (inverse of _integral)."""
+    if not p:
+        return [(c, Fraction(v, den)) for c, v in terms]
+    if den == 1:
+        return terms
+    inv = pow(den, p - 2, p)
+    return [(c, v * inv % p) for c, v in terms]
+
+
+def _shift(codes, nums, delta, m, bound, lay, p):
+    """The terms of m * x^delta * (codes, nums) of degree below bound, in
+    the input order (either direction), reduced mod p when p is set."""
+    shifted = [c + delta for c in codes]
+    # every shifted code is checked for overflow bits, except under a small
+    # degree bound, where no packed field can overflow
+    if bound > 4096 and reduce(or_, shifted, 0) & lay.exp_overflow_mask:
+        raise ExponentOverflow("monomial product exceeds exponent range")
     shift = lay.deg_shift
     mask = lay.deg_mask
-    # with a small degree bound active no packed field can overflow, and a
-    # prime field lets the whole shift run in comprehensions
-    p = field.characteristic if bound <= 4096 else 0
     if p:
-        m = p - c
         return [
-            (nc, (m * v) % p)
-            for nc, v in zip([c0 + delta for c0 in codes], coeffs)
+            (nc, m * v % p)
+            for nc, v in zip(shifted, nums)
             if ((nc >> shift) & mask) < bound
         ]
-    m = field.neg(c)
-    over = lay.exp_overflow_mask
-    mul = field.mul
-    out = []
-    push = out.append
-    for k in range(len(codes)):
-        nc = codes[k] + delta
-        if nc & over:
-            raise ExponentOverflow("monomial product exceeds exponent range")
-        if ((nc >> shift) & mask) < bound:
-            push((nc, mul(m, coeffs[k])))
-    return out
+    return [
+        (nc, m * v)
+        for nc, v in zip(shifted, nums)
+        if ((nc >> shift) & mask) < bound
+    ]
 
 
 def _spoly_terms(ei, ej, lcm_code, lay, field, bound):
     """S-polynomial of two monic entries at the lcm code of their leads,
-    truncated below bound; the leads cancel, so only tails are shifted.
-    Codes are affine in the exponents, so lcm_code - lead is the shift."""
-    halves = []
-    for e, c in ((ei, field.neg(field.one)), (ej, field.one)):
-        rc, rv = e.split_tail()
-        halves.append(_shift(rc, rv, lcm_code - e.lead, c, bound, lay, field)[::-1])
-    return _merge_add(halves[0], halves[1], field)
+    truncated below bound, as (D, integer numerators over D); the leads
+    cancel, so only tails are shifted. Codes are affine in the exponents,
+    so lcm_code - lead is the shift."""
+    p = field.characteristic
+    ci, li, ni = ei.split_tail()
+    cj, lj, nj = ej.split_tail()
+    q = gcd(li, lj)
+    den = li // q * lj
+    return den, _merge_add(
+        _shift(ci, ni, lcm_code - ei.lead, lj // q, bound, lay, p)[::-1],
+        _shift(cj, nj, lcm_code - ej.lead, -(li // q), bound, lay, p)[::-1],
+        field,
+    )
 
 
 # ---------------------------------------------------------------------------
 # weak normal form
 
 
-def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
+def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
              counter, ceiling, bound, sugar):
     """Reduce until the lead is irreducible; returns (terms, sugar).
+
+    `init` is (D, integer numerators over D), as _integral gives; the
+    returned terms are field values.  A step cancels the lead numerator H
+    against a reducer tail N/L: with q = gcd(L, H) the work polynomial is
+    multiplied by L/q (when that is not 1) and -(H/q) * N is added at the
+    shifted codes, which is exact and needs no gcd per term.  Over F_p,
+    L = 1, so a step is the plain -H * N mod p.
 
     `entries` is read-only and must already be in scan order for the rule:
     (ecart, seq)-sorted for min-ecart, insertion order for first-found.  In
@@ -381,8 +428,8 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
     divisor wins and the first divisor seen at all is the fallback.
     """
     extend = mora and bound >= _HUGE
-    bucket = _WorkPoly(field)
-    bucket.add(init_terms)
+    p = field.characteristic
+    bucket = _WorkPoly(p, *init)
     scan = entries
     low_mask = lay.div_low_mask
     check_mask = lay.div_check_mask
@@ -421,7 +468,7 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
             tail = bucket.drain_descending()
             tail.insert(0, (hcode, hcoeff))
             counter.reductions += reds
-            return tail, sugar
+            return _over(tail, bucket.den, p), sugar
 
         # self-extension is what makes unbounded local reduction terminate;
         # under an active degree bound strict descent through the finitely
@@ -430,12 +477,12 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
         if extend:
             if best.ecart > h_ecart:
                 # every cheaper reduction is exhausted: remember the current
-                # state so later leads can reduce against it
+                # state so later leads can reduce against it; its monic form
+                # is the numerators over the lead's, so the scale cancels
                 tail = bucket.drain_descending()
                 snap = [(hcode, field.one)]
                 if tail:
-                    inv = field.inv(hcoeff)
-                    snap.extend(_scale(tail, inv, field))
+                    snap.extend(_over(tail, hcoeff, p))
                     bucket.add(tail)
                 snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
                 if scan is entries:
@@ -448,9 +495,12 @@ def _weak_nf(init_terms, entries, lay, field, location, mora, reducer_rule,
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
         delta = hcode - best.lead
-        rc, rv = best.split_tail()
+        rc, rden, rn = best.split_tail()
         if rc:
-            bucket.add(_shift(rc, rv, delta, hcoeff, bound, lay, field))
+            q = gcd(rden, hcoeff)
+            if q != rden:
+                bucket.rescale(rden // q)
+            bucket.add(_shift(rc, rn, delta, -(hcoeff // q), bound, lay, p))
         s2 = best.sugar + ((delta >> deg_shift) & deg_mask)
         if s2 > sugar:
             sugar = s2
@@ -518,8 +568,7 @@ class _StdEngine:
             nt = self._truncate(e.terms)
             if len(nt) != len(e.terms):
                 e.terms = nt
-                e.rcodes = None
-                e.rcoeffs = None
+                e.rcodes = e.rden = e.rnums = None
                 e.ecart = _terms_max_degree(nt, lay, self.location) - lay.degree(e.lead)
 
     def _truncate(self, terms):
@@ -640,13 +689,13 @@ class _StdEngine:
                 continue
             ei = self.entries[i]
             ej = self.entries[j]
-            s_terms = _spoly_terms(ei, ej, lcm_code, lay, field, self.bound)
+            s_poly = _spoly_terms(ei, ej, lcm_code, lay, field, self.bound)
             sug = max(
                 ei.sugar + deg_lcm - lay.degree(ei.lead),
                 ej.sugar + deg_lcm - lay.degree(ej.lead),
             )
             nf, sug = _weak_nf(
-                s_terms,
+                s_poly,
                 self.scan_order if min_ecart else self.entries,
                 lay,
                 field,
@@ -844,10 +893,10 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     if strategy.reducer_selection == "min-ecart":
         entries.sort(key=_scan_key)
     counter = Stats()
-    init = list(f._terms)
+    init = f._terms
     sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
     out, _ = _weak_nf(
-        init,
+        _integral(init),
         entries,
         lay,
         field,

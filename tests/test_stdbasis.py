@@ -1,21 +1,25 @@
 """Standard basis engine: reduction, bases, staircases, jets."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from germkit import (
     INFINITE,
     HypersurfaceGerm,
+    RingContext,
     Staircase,
     Strategy,
     VectorElement,
     ecart,
+    ft_germ,
     highest_corner,
     is_member,
     jet_dimensions,
     kbase,
     local_vdim,
+    milnor,
     normal_form,
     parse_poly,
     parse_ring,
@@ -26,6 +30,7 @@ from germkit import (
     zariski_family,
 )
 from germkit.errors import (
+    ExponentOverflow,
     InfiniteDimensional,
     ModeOrderingMismatch,
     ResourceExhausted,
@@ -101,6 +106,32 @@ def test_buchberger_normal_form():
     ring = _ring("dp", names="x,y")
     g = parse_poly("x^2-1", ring)
     assert normal_form(parse_poly("x^2*y", ring), [g]) == parse_poly("y", ring)
+
+
+def test_buchberger_normal_form_is_exact_over_q():
+    # x^2 + y - (x + 1/2*y)(x - 1/2*y) = 1/4*y^2 + y, no scalar multiple of it
+    ring = _ring("dp", names="x,y")
+    g = parse_poly("x-1/2*y", ring)
+    assert normal_form(parse_poly("x^2+y", ring), [g]) == parse_poly("1/4*y^2+y", ring)
+
+
+def test_mora_normal_form_is_exact_over_q():
+    # x*y - y*(x + 1/2*y^2) = -1/2*y^3; the reducer's ecart exceeds that of
+    # x*y, so x*y joins the reducers first, and y^3 is divisible by neither
+    ring = _ring("ds", names="x,y")
+    g = parse_poly("x+1/2*y^2", ring)
+    assert normal_form(parse_poly("x*y", ring), [g]) == parse_poly("-1/2*y^3", ring)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_reduction_step_past_the_exponent_range_raises(char):
+    # under lp, x leads x + y^60000; cancelling x*y^10000 needs y^70000
+    ring = _ring("lp", char, "x,y")
+    g = parse_poly("x+y^60000", ring)
+    with pytest.raises(ExponentOverflow):
+        normal_form(parse_poly("x*y^10000", ring), [g])
+    with pytest.raises(ExponentOverflow):
+        spoly(g, parse_poly("x*y^10000+1", ring))
 
 
 def test_buchberger_mode_needs_global_ordering():
@@ -205,37 +236,48 @@ def _random_poly(rng, ring, max_terms, max_deg, coefficients):
     return p
 
 
-def _random_std_inputs(rng, count):
-    """Random ideals over F_32003 under dp, ds, ls and dp(1),ds(2), and
-    rank-2 modules under ds, in turn."""
-    p = 32003
-    units = range(1, p)
+def _random_std_inputs(rng, count, char=32003, coefficients=range(1, 32003),
+                       max_terms=3, max_deg=4):
+    """Random ideals under dp, ds, ls and dp(1),ds(2), and rank-2 modules
+    under ds (one degree lower), in turn."""
     for k in range(count):
         tok = ("dp", "ds", "ls", "dp(1),ds(2)", "module")[k % 5]
         if tok == "module":
-            ring = _ring("ds", p, "x,y")
+            ring = _ring("ds", char, "x,y")
             gens = [
                 VectorElement.from_components(
-                    [_random_poly(rng, ring, 3, 3, units) for _ in range(2)]
+                    [_random_poly(rng, ring, max_terms, max_deg - 1, coefficients)
+                     for _ in range(2)]
                 )
                 for _ in range(rng.randint(2, 4))
             ]
         else:
             names = "x,y,z" if tok == "dp(1),ds(2)" else rng.choice(["x,y", "x,y,z"])
-            ring = _ring(tok, p, names)
+            ring = _ring(tok, char, names)
             gens = [
-                _random_poly(rng, ring, 3, 4, units)
+                _random_poly(rng, ring, max_terms, max_deg, coefficients)
                 for _ in range(rng.randint(2, 4))
             ]
         yield [g for g in gens if g]
 
 
-def test_std_output_passes_the_spoly_criterion():
-    """Buchberger/Mora criterion, independent of the pair criteria: every
-    s-polynomial of two output generators in one component reduces to 0."""
-    rng = random.Random(SEED)
+# Over Q a reduction step rescales the work polynomial whenever the
+# reducer's tail has denominators, and tangent-cone snapshots get fractional
+# tails. Two terms of degree at most 3 keep the Mora runs short: the reduction
+# ceiling bounds steps, not coefficient growth, which larger inputs show.
+RATIONALS = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-2, 3),
+             Fraction(5, 3), 1, -1, 2)
+
+
+def _rational_std_inputs(rng, count):
+    return _random_std_inputs(rng, count, 0, RATIONALS, max_terms=2, max_deg=3)
+
+
+def _assert_spoly_criterion(inputs, minimum):
+    """Every s-polynomial of two output generators in one component reduces
+    to 0; at least `minimum` inputs finish within the reduction ceiling."""
     checked = 0
-    for gens in _random_std_inputs(rng, 600):
+    for gens in inputs:
         if not gens:
             continue
         try:
@@ -252,7 +294,69 @@ def test_std_output_passes_the_spoly_criterion():
             continue  # a few unbounded Mora runs outgrow the ceiling
         assert not any(remainders), [str(g) for g in gens]
         checked += 1
-    assert checked >= 590
+    assert checked >= minimum
+
+
+def test_std_output_passes_the_spoly_criterion():
+    """Buchberger/Mora criterion, independent of the pair criteria."""
+    _assert_spoly_criterion(_random_std_inputs(random.Random(SEED), 600), 590)
+
+
+def test_std_output_passes_the_spoly_criterion_over_q():
+    _assert_spoly_criterion(_rational_std_inputs(random.Random(SEED), 600), 600)
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def _mod_image(g, ring):
+    """g with every coefficient mapped into ring, a copy of g's ring over F_p
+    (ring.monomial maps each one with PrimeField.coerce)."""
+    if isinstance(g, VectorElement):
+        return VectorElement.from_components(
+            [_mod_image(c, ring) for c in g.components()], g.rank
+        )
+    return sum((ring.monomial(e, c) for c, e in g.terms()), ring.zero())
+
+
+def test_std_over_q_maps_onto_std_mod_p():
+    """Modular-image oracle: over a large prime the elementary steps of a
+    run over Q map one to one, so std and normal_form commute with the map
+    into F_p."""
+    rng = random.Random(SEED + 1)
+    for gens in _rational_std_inputs(rng, 200):
+        if not gens:
+            continue
+        ring = gens[0].ring
+        ring_p = RingContext(MERSENNE_61, ring.variables, ring.ordering)
+        basis = std(gens, ceiling=5000)
+        basis_p = std([_mod_image(g, ring_p) for g in gens], ceiling=5000)
+        assert [_mod_image(g, ring_p) for g in basis] == list(basis_p)
+        # an element of the ideal plus one drawn like the generators
+        f = gens[-1] + gens[0] * _random_poly(rng, ring, 2, 2, RATIONALS)
+        if isinstance(f, VectorElement):
+            f = f + VectorElement.from_components(
+                [_random_poly(rng, ring, 2, 2, RATIONALS) for _ in range(2)]
+            )
+        else:
+            f = f + _random_poly(rng, ring, 2, 3, RATIONALS)
+        assert _mod_image(normal_form(f, basis), ring_p) == normal_form(
+            _mod_image(f, ring_p), basis_p
+        )
+
+
+@pytest.mark.parametrize(
+    "germ, mu",
+    [
+        (lambda ring: HypersurfaceGerm(zariski_family(16, 12, 4, 1, ring=ring)), 891),
+        (lambda ring: ft_germ(5, 4, ring=ring), 11),
+        (lambda ring: ft_germ(8, 8, ring=ring), 18),
+        (lambda ring: ft_germ(12, 7, ring=ring), 21),
+    ],
+    ids=["zariski-16-12-4-t1", "ft-5-4", "ft-8-8", "ft-12-7"],
+)
+def test_milnor_over_q_equals_milnor_mod_a_large_prime(germ, mu):
+    assert [milnor(germ(_ring("ds", char))) for char in (0, MERSENNE_61)] == [mu, mu]
 
 
 def test_buchberger_against_sympy():
