@@ -8,7 +8,12 @@ local rings, where naive division can cycle forever.
 
 The work polynomial of a reduction is kept in a dict of terms with a heap of
 its codes, so that long reductions against short reducers pay per step only
-for the terms the reducer adds, never a merge with the whole remainder.
+for the terms the reducer adds, never a merge with the whole remainder. A
+step is one pass over the reducer tail: each code is shifted, its numerator
+scaled and the result added to the dict, with no intermediate list. Under a
+jet's degree bound the terms that survive are a suffix of the ascending tail,
+found by one bisection against a code cut, and exponent overflow is one test
+of the tail's per-variable maximum exponents.
 
 Reduction is fraction-free: the work polynomial and the reducer tails hold
 integer numerators over one common denominator each (over a prime field the
@@ -23,9 +28,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import or_
 
 from .errors import (
     ComponentMismatch,
@@ -44,7 +47,6 @@ from .ring import (
     POSITION_OVER_TERM,
     Polynomial,
     VectorElement,
-    _merge_add,
     _scale,
 )
 
@@ -132,64 +134,67 @@ class _WorkPoly:
     common denominator `den`, in a dict from code to nonzero numerator, and
     a max-heap (negated codes) of every code added.
 
-    Adding a term is one dict update, so a reduction step costs the length
-    of the shifted reducer tail and no merge.  A code that cancels leaves
-    the dict but stays in the heap, and is skipped when popped.  Over F_p
-    the numerators are residues in [0, p) and `den` stays 1.
+    add_shifted is the one way terms come in: a reducer tail is shifted,
+    scaled and added term by term, so a reduction step costs the length of
+    the tail and no merge.  A code that cancels leaves the dict but stays in
+    the heap, and is skipped when popped.  Over F_p the numerators are
+    residues in [0, p) and `den` stays 1.
     """
 
     __slots__ = ("terms", "heap", "p", "den")
 
-    def __init__(self, p, den, terms):
+    def __init__(self, p, den, terms=()):
         self.terms = dict(terms)
-        self.heap = [-c for c, _ in terms]
+        self.heap = [-c for c in self.terms]
         heapq.heapify(self.heap)
         self.p = p
         self.den = den
 
-    def add(self, pairs):
-        """Add (code, numerator) pairs given in any order."""
+    def add_shifted(self, codes, nums, delta, m):
+        """Add m * x^delta * (codes, nums): every code shifted by delta, every
+        numerator times m (mod p over F_p)."""
         terms = self.terms
         get = terms.get
         heap = self.heap
         push = heapq.heappush
         p = self.p
-        for c, v in pairs:
-            g = get(c)
-            if g is None:
-                terms[c] = v
-                push(heap, -c)
-                continue
-            s = g + v
-            if p and s >= p:
-                s -= p
-            if s:
-                terms[c] = s
-            else:
-                del terms[c]
+        if p:
+            for c, v in zip(codes, nums):
+                c += delta
+                g = get(c)
+                if g is None:
+                    terms[c] = m * v % p
+                    push(heap, -c)
+                    continue
+                s = (g + m * v) % p
+                if s:
+                    terms[c] = s
+                else:
+                    del terms[c]
+        else:
+            for c, v in zip(codes, nums):
+                c += delta
+                g = get(c)
+                if g is None:
+                    terms[c] = m * v
+                    push(heap, -c)
+                    continue
+                s = g + m * v
+                if s:
+                    terms[c] = s
+                else:
+                    del terms[c]
 
     def rescale(self, a):
         """Multiply every numerator and the denominator by a."""
-        self.terms = {c: v * a for c, v in self.terms.items()}
+        terms = self.terms
+        for c, v in terms.items():
+            terms[c] = v * a
         self.den *= a
 
-    def pop_lead(self):
-        """Remove and return the leading (code, numerator), or None if zero."""
-        terms = self.terms
-        heap = self.heap
-        pop = heapq.heappop
-        while heap:
-            c = -pop(heap)
-            v = terms.pop(c, None)
-            if v is not None:
-                return (c, v)
-        return None
-
-    def drain_descending(self):
-        out = sorted(self.terms.items(), reverse=True)
-        self.terms = {}
-        self.heap = []
-        return out
+    def descending(self):
+        """The (code, numerator) terms, leading term first."""
+        return sorted(self.terms.items(), reverse=True)
 
     def max_degree(self, deg_shift, deg_mask, location):
         """Max total degree over the remaining terms, or None if empty."""
@@ -219,6 +224,7 @@ class _Entry:
         "rcodes",
         "rden",
         "rnums",
+        "rmax",
     )
 
     def __init__(self, terms, lay, location, seq, sugar=None, ecart_=None):
@@ -240,15 +246,36 @@ class _Entry:
         self.rcodes = None  # tail codes, ascending; built on first use
         self.rden = None
         self.rnums = None
+        self.rmax = None  # code of the tail's per-variable maximum exponents
 
-    def split_tail(self):
-        """(codes, L, numerators) of the tail in ascending order: the tail
-        is the numerators over their least common denominator L."""
-        if self.rcodes is None:
+    def tail(self, delta, cut, lay, check):
+        """(codes, L, numerators) of the tail terms that shifted by delta
+        stay at or above the code cut (all of them when cut is None), in
+        ascending order: the tail is the numerators over their least common
+        denominator L.  With check set, raises ExponentOverflow when a
+        shifted exponent leaves the packed range."""
+        rc = self.rcodes
+        if rc is None:
             self.rden, tail = _integral(self.terms[:0:-1])
-            self.rcodes = [t[0] for t in tail]
+            rc = self.rcodes = [t[0] for t in tail]
             self.rnums = [t[1] for t in tail]
-        return self.rcodes, self.rden, self.rnums
+        rn = self.rnums
+        if not rc:
+            return rc, self.rden, rn
+        if check:
+            # exponent fields are 18 bits wide and both addends are below
+            # 2^16, so no carry crosses a field: some shifted exponent
+            # overflows exactly when the shifted maximum does
+            if self.rmax is None:
+                self.rmax = sum(max((c >> s) & 0x3FFFF for c in rc) << s
+                                for s in lay.exp_shifts)
+            if (self.rmax + delta) & lay.exp_overflow_mask:
+                raise ExponentOverflow("monomial product exceeds exponent range")
+        if cut is not None:
+            lo = bisect.bisect_left(rc, cut - delta)
+            if lo:
+                return rc[lo:], self.rden, rn[lo:]
+        return rc, self.rden, rn
 
 
 def _scan_key(e):
@@ -324,8 +351,8 @@ def spoly(f, g):
     ef = _Entry(_monic(tf, field), lay, location, 0)
     eg = _Entry(_monic(tg, field), lay, location, 1)
     lcm_code = lay.encode(tuple(map(max, ef.lead_exps, eg.lead_exps)), ef.comp)
-    den, terms = _spoly_terms(ef, eg, lcm_code, lay, field, _HUGE)
-    return _wrap(f, ring, _over(terms, den, field.characteristic), rank)
+    s = _spoly_terms(ef, eg, lcm_code, lay, field.characteristic, _HUGE)
+    return _wrap(f, ring, _over(s.descending(), s.den, s.p), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -358,60 +385,50 @@ def _over(terms, den, p):
     return [(c, v * inv % p) for c, v in terms]
 
 
-def _shift(codes, nums, delta, m, bound, lay, p):
-    """The terms of m * x^delta * (codes, nums) of degree below bound, in
-    the input order (either direction), reduced mod p when p is set."""
-    shifted = [c + delta for c in codes]
-    # every shifted code is checked for overflow bits, except under a small
-    # degree bound, where no packed field can overflow
-    if bound > 4096 and reduce(or_, shifted, 0) & lay.exp_overflow_mask:
-        raise ExponentOverflow("monomial product exceeds exponent range")
-    shift = lay.deg_shift
-    mask = lay.deg_mask
-    if p:
-        return [
-            (nc, m * v % p)
-            for nc, v in zip(shifted, nums)
-            if ((nc >> shift) & mask) < bound
-        ]
-    return [
-        (nc, m * v)
-        for nc, v in zip(shifted, nums)
-        if ((nc >> shift) & mask) < bound
-    ]
+def _cut(lay, bound):
+    """The least code of degree below bound, or None for no bound.  A finite
+    bound exists only in jet-eligible layouts, whose most significant field
+    is key_offsets[0] - degree, so degree < bound exactly when code >= cut."""
+    if bound >= _HUGE:
+        return None
+    return (lay.key_offsets[0] - bound + 1) << lay.key_shifts[0]
 
 
-def _spoly_terms(ei, ej, lcm_code, lay, field, bound):
+def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
     """S-polynomial of two monic entries at the lcm code of their leads,
-    truncated below bound, as (D, integer numerators over D); the leads
-    cancel, so only tails are shifted. Codes are affine in the exponents,
-    so lcm_code - lead is the shift."""
-    p = field.characteristic
-    ci, li, ni = ei.split_tail()
-    cj, lj, nj = ej.split_tail()
+    truncated below bound, as a _WorkPoly; the leads cancel, so only tails
+    are shifted. Codes are affine in the exponents, so lcm_code - lead is
+    the shift."""
+    cut = _cut(lay, bound)
+    check = bound > 4096
+    di = lcm_code - ei.lead
+    dj = lcm_code - ej.lead
+    ci, li, ni = ei.tail(di, cut, lay, check)
+    cj, lj, nj = ej.tail(dj, cut, lay, check)
     q = gcd(li, lj)
-    den = li // q * lj
-    return den, _merge_add(
-        _shift(ci, ni, lcm_code - ei.lead, lj // q, bound, lay, p)[::-1],
-        _shift(cj, nj, lcm_code - ej.lead, -(li // q), bound, lay, p)[::-1],
-        field,
-    )
+    out = _WorkPoly(p, li // q * lj)
+    out.add_shifted(ci, ni, di, lj // q)
+    out.add_shifted(cj, nj, dj, -(li // q))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # weak normal form
 
 
-def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
+def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
              counter, ceiling, bound, sugar):
-    """Reduce until the lead is irreducible; returns (terms, sugar).
+    """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
+    (terms, sugar) with the terms as field values.
 
-    `init` is (D, integer numerators over D), as _integral gives; the
-    returned terms are field values.  A step cancels the lead numerator H
-    against a reducer tail N/L: with q = gcd(L, H) the work polynomial is
-    multiplied by L/q (when that is not 1) and -(H/q) * N is added at the
-    shifted codes, which is exact and needs no gcd per term.  Over F_p,
-    L = 1, so a step is the plain -H * N mod p.
+    A step cancels the lead numerator H against a reducer tail N/L: with
+    q = gcd(L, H) the work polynomial is multiplied by L/q (when that is not
+    1) and -(H/q) * N is added at the shifted codes in one pass
+    (add_shifted), which is exact and needs no gcd per term.  Over F_p,
+    L = 1, so a step is the plain -H * N mod p with no gcd at all.  Under a
+    degree bound only the tail's suffix at or above the code cut is added
+    (_Entry.tail), and past a bound of 4096 one test of the tail's maximum
+    exponents guards the packed exponent range.
 
     `entries` is read-only and must already be in scan order for the rule:
     (ecart, seq)-sorted for min-ecart, insertion order for first-found.  In
@@ -429,7 +446,11 @@ def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
     """
     extend = mora and bound >= _HUGE
     p = field.characteristic
-    bucket = _WorkPoly(p, *init)
+    cut = _cut(lay, bound)
+    check = bound > 4096
+    terms = bucket.terms
+    heap = bucket.heap
+    pop = heapq.heappop
     scan = entries
     low_mask = lay.div_low_mask
     check_mask = lay.div_check_mask
@@ -440,11 +461,15 @@ def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
     reds = 0
 
     while True:
-        popped = bucket.pop_lead()
-        if popped is None:
+        # the lead; codes that cancelled are still in the heap and skipped
+        while heap:
+            hcode = -pop(heap)
+            hcoeff = terms.pop(hcode, None)
+            if hcoeff is not None:
+                break
+        else:
             counter.reductions += reds
             return [], sugar
-        hcode, hcoeff = popped
 
         h_ecart = 0
         if extend:
@@ -465,7 +490,7 @@ def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
             best = fallback
 
         if best is None:
-            tail = bucket.drain_descending()
+            tail = bucket.descending()
             tail.insert(0, (hcode, hcoeff))
             counter.reductions += reds
             return _over(tail, bucket.den, p), sugar
@@ -479,11 +504,8 @@ def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
                 # every cheaper reduction is exhausted: remember the current
                 # state so later leads can reduce against it; its monic form
                 # is the numerators over the lead's, so the scale cancels
-                tail = bucket.drain_descending()
                 snap = [(hcode, field.one)]
-                if tail:
-                    snap.extend(_over(tail, hcoeff, p))
-                    bucket.add(tail)
+                snap.extend(_over(bucket.descending(), hcoeff, p))
                 snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
                 if scan is entries:
                     scan = list(entries)
@@ -495,12 +517,16 @@ def _weak_nf(init, entries, lay, field, location, mora, reducer_rule,
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
         delta = hcode - best.lead
-        rc, rden, rn = best.split_tail()
-        if rc:
+        rc, rden, rn = best.tail(delta, cut, lay, check)
+        if rden == 1:
+            m = -hcoeff
+        else:
             q = gcd(rden, hcoeff)
             if q != rden:
                 bucket.rescale(rden // q)
-            bucket.add(_shift(rc, rn, delta, -(hcoeff // q), bound, lay, p))
+            m = -(hcoeff // q)
+        if rc:
+            bucket.add_shifted(rc, rn, delta, m)
         s2 = best.sugar + ((delta >> deg_shift) & deg_mask)
         if s2 > sugar:
             sugar = s2
@@ -533,7 +559,9 @@ class _StdEngine:
         self.pair_seq = 0
         self.scan_order = []
         self.bound = jet if jet is not None else _HUGE
+        self.cut = _cut(self.lay, self.bound)
         self.cut_at_corner = _jet_eligible(ring, rank)
+        self.minimal = []  # the entries with minimal leads, in arrival order
 
     # -- truncation bookkeeping -----------------------------------------
 
@@ -548,7 +576,7 @@ class _StdEngine:
         corner only when their top slot is empty.
         """
         st = Staircase(
-            self.ring.n, self.rank, [(e.lead_exps, e.comp or 0) for e in self.entries]
+            self.ring.n, self.rank, [(e.lead_exps, e.comp or 0) for e in self.minimal]
         )
         if not st.is_finite():
             return
@@ -561,23 +589,23 @@ class _StdEngine:
         if corner == self.bound:
             return
         self.bound = corner
+        self.cut = cut = _cut(self.lay, corner)
         lay = self.lay
         for e in self.entries:
-            if lay.degree(e.lead) >= self.bound:
+            if e.lead < cut:
                 continue  # inert: divides no surviving term
             nt = self._truncate(e.terms)
             if len(nt) != len(e.terms):
                 e.terms = nt
-                e.rcodes = e.rden = e.rnums = None
+                e.rcodes = e.rden = e.rnums = e.rmax = None
                 e.ecart = _terms_max_degree(nt, lay, self.location) - lay.degree(e.lead)
 
     def _truncate(self, terms):
-        if self.bound >= _HUGE:
+        """The terms of degree below the bound (code at or above the cut)."""
+        cut = self.cut
+        if cut is None:
             return terms
-        shift = self.lay.deg_shift
-        mask = self.lay.deg_mask
-        b = self.bound
-        return [t for t in terms if ((t[0] >> shift) & mask) < b]
+        return [t for t in terms if t[0] >= cut]
 
     # -- pair bookkeeping -------------------------------------------------
 
@@ -640,6 +668,11 @@ class _StdEngine:
         self.stats.discarded += len(dead)
 
         entries.append(entry)
+        # a new lead that no minimal lead divides is minimal itself, and the
+        # leads it divides stop being so
+        if not any(lay.divides(e.lead, lead) for e in self.minimal):
+            self.minimal = [e for e in self.minimal if not lay.divides(lead, e.lead)]
+            self.minimal.append(entry)
         if self.cut_at_corner:
             self._tighten_corner()
         # ties in ecart go to the shortest tail: cheaper to apply, and a
@@ -689,7 +722,8 @@ class _StdEngine:
                 continue
             ei = self.entries[i]
             ej = self.entries[j]
-            s_poly = _spoly_terms(ei, ej, lcm_code, lay, field, self.bound)
+            s_poly = _spoly_terms(ei, ej, lcm_code, lay, field.characteristic,
+                                  self.bound)
             sug = max(
                 ei.sugar + deg_lcm - lay.degree(ei.lead),
                 ej.sugar + deg_lcm - lay.degree(ej.lead),
@@ -712,20 +746,9 @@ class _StdEngine:
                 self.insert(_monic(nf, field), sug)
 
     def minimal_entries(self):
-        lay = self.lay
-        entries = self.entries
-        order = sorted(
-            range(len(entries)),
-            key=lambda k: (lay.degree(entries[k].lead), entries[k].seq),
-        )
-        kept = []
-        for idx in order:
-            lead = entries[idx].lead
-            if any(lay.divides(entries[k].lead, lead) for k in kept):
-                continue
-            kept.append(idx)
-        kept.sort(key=lambda k: -entries[k].lead)
-        return [entries[k] for k in kept]
+        """The entries with minimal leads (the first of equal ones), leading
+        lead first."""
+        return sorted(self.minimal, key=lambda e: -e.lead)
 
 
 class StandardBasis:
@@ -896,7 +919,7 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     init = f._terms
     sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
     out, _ = _weak_nf(
-        _integral(init),
+        _WorkPoly(field.characteristic, *_integral(init)),
         entries,
         lay,
         field,

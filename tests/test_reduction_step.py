@@ -1,0 +1,192 @@
+"""The fused reduction step and the code cut of the jet truncation.
+
+A reduction step adds m * x^delta * tail to the work polynomial in one pass
+over the reducer tail; under a degree bound only the suffix of the ascending
+tail at or above a code cut survives, and exponent overflow is one test of
+the tail's per-variable maximum. These tests hold each shortcut against the
+plain formula it replaces: shift every tail code, keep the terms of degree
+below the bound, add them into a dict, and OR every shifted code against the
+overflow mask.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from germkit import RingContext
+from germkit.errors import ExponentOverflow
+from germkit.ring import POSITION_OVER_TERM
+from germkit.stdbasis import _HUGE, _cut, _Entry, _jet_eligible, _WorkPoly
+
+SEED = 20261
+
+# (ring, rank) pairs whose finite degree bounds the cut must realize
+CUT_LAYOUTS = [
+    (RingContext(32003, ("x", "y", "z"), "ds"), None),
+    (RingContext(32003, ("x", "y", "z"), "ls"), None),
+    (RingContext(32003, ("x", "y", "z"), "ds"), 2),
+]
+
+
+def _layout(ring, rank):
+    return ring.layout if rank is None else ring.module_layout
+
+
+def _encode(lay, rank, exps, comp):
+    return lay.encode(exps, comp if rank is not None else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    which=st.integers(0, len(CUT_LAYOUTS) - 1),
+    exps=st.tuples(*[st.integers(0, 3000)] * 3),
+    comp=st.integers(1, 2),
+    bound=st.integers(1, 4096),
+)
+def test_cut_holds_exactly_the_terms_below_the_bound(which, exps, comp, bound):
+    ring, rank = CUT_LAYOUTS[which]
+    lay = _layout(ring, rank)
+    code = _encode(lay, rank, exps, comp)
+    assert (code >= _cut(lay, bound)) == (sum(exps) < bound)
+
+
+def test_cut_layouts_are_exactly_the_jet_eligible_ones():
+    for ring, rank in CUT_LAYOUTS:
+        assert _jet_eligible(ring, rank)
+        assert _cut(_layout(ring, rank), _HUGE) is None
+    # here degree is not the most significant field, so a cut would be wrong
+    names = ("x", "y", "z")
+    assert not _jet_eligible(RingContext(32003, names, "dp"), None)
+    assert not _jet_eligible(RingContext(32003, names, "dp(1),ds(2)"), None)
+    pot = RingContext(32003, names, "ds", module_rule=POSITION_OVER_TERM)
+    assert not _jet_eligible(pot, 2)
+
+
+# ---------------------------------------------------------------------------
+# the fused step against the reference formula
+
+
+def _random_coeff(rng, p):
+    if p:
+        return rng.randrange(1, p)
+    return Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
+
+
+def _random_entry(rng, ring, rank, p, max_exp):
+    """A monic reducer with a lead of degree 1 and up to 12 tail terms."""
+    lay = _layout(ring, rank)
+    comp = rng.randint(1, 2)
+    codes = {_encode(lay, rank, (1, 0, 0), comp)}
+    for _ in range(rng.randint(0, 12)):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(3))
+        if sum(exps) > 1:
+            codes.add(_encode(lay, rank, exps, comp))
+    codes = sorted(codes, reverse=True)
+    terms = [(codes[0], 1)] + [(c, _random_coeff(rng, p)) for c in codes[1:]]
+    entry = _Entry(terms, lay, ring.degree_location, 0)
+    return entry, comp
+
+
+def _reference_step(work, den, entry, delta, h, bound, lay, p):
+    """The step as a plain formula: rescale by L/q, shift every tail code,
+    keep degree < bound, and add into a copy of the dict."""
+    codes, big_l, nums = entry.tail(delta, None, lay, False)
+    q = gcd(big_l, h)
+    a = big_l // q
+    out = {c: v * a for c, v in work.items()} if a != 1 else dict(work)
+    m = -(h // q)
+    for c, v in zip(codes, nums):
+        nc = c + delta
+        if lay.degree(nc) >= bound:
+            continue
+        s = out.get(nc, 0) + m * v
+        if p:
+            s %= p
+        if s:
+            out[nc] = s
+        else:
+            out.pop(nc, None)
+    return out, den * a
+
+
+def _fused_step(work, den, entry, delta, h, bound, lay, p):
+    """The step as _weak_nf takes it: the cut tail, one add_shifted."""
+    wp = _WorkPoly(p, den, list(work.items()))
+    codes, big_l, nums = entry.tail(delta, _cut(lay, bound), lay, bound > 4096)
+    q = gcd(big_l, h)
+    if q != big_l:
+        wp.rescale(big_l // q)
+    wp.add_shifted(codes, nums, delta, -(h // q))
+    return wp.terms, wp.den
+
+
+@pytest.mark.parametrize("p", [32003, 0])
+def test_fused_step_matches_the_reference_formula(p):
+    rng = random.Random(SEED + p)
+    mismatches = rescaled = cancelled = 0
+    for trial in range(600):
+        ring, rank = CUT_LAYOUTS[trial % len(CUT_LAYOUTS)]
+        lay = _layout(ring, rank)
+        entry, comp = _random_entry(rng, ring, rank, p, 6)
+        mult = tuple(rng.randint(0, 3) for _ in range(3))
+        delta = lay.multiplier_delta(mult)
+        bound = rng.choice([2, 3, 5, 8, 12, _HUGE])
+        h = rng.randrange(1, p) if p else rng.choice([1, 2, 3, 6, -4, 9])
+        # a work polynomial that meets the shifted tail, sometimes with the
+        # exact negation of a shifted term, so that terms merge and cancel
+        codes, big_l, nums = entry.tail(delta, None, lay, False)
+        den = 1 if p else rng.choice([1, 2, 6])
+        q = gcd(big_l, h)
+        work = {}
+        for c, v in zip(codes, nums):
+            if rng.random() < 0.5:
+                nc = c + delta
+                if rng.random() < 0.5:
+                    w = (h // q) * v * (big_l // q)
+                    work[nc] = w % p if p else w
+                else:
+                    work[nc] = rng.randrange(1, p) if p else rng.randint(-9, 9) or 1
+        for _ in range(rng.randint(0, 4)):
+            exps = tuple(rng.randint(0, 6) for _ in range(3))
+            work[_encode(lay, rank, exps, comp)] = rng.randrange(1, p) if p else 5
+        want = _reference_step(work, den, entry, delta, h, bound, lay, p)
+        got = _fused_step(work, den, entry, delta, h, bound, lay, p)
+        mismatches += want != got
+        rescaled += got[1] != den
+        cancelled += len(got[0]) < len(set(work) | {c + delta for c in codes
+                                                   if lay.degree(c + delta) < bound})
+    assert mismatches == 0
+    assert cancelled > 0
+    assert (rescaled > 0) == (p == 0)
+
+
+@pytest.mark.parametrize("which", range(len(CUT_LAYOUTS)))
+def test_overflow_test_matches_the_or_over_shifted_codes(which):
+    ring, rank = CUT_LAYOUTS[which]
+    lay = _layout(ring, rank)
+    rng = random.Random(SEED + which)
+    top = (1 << 16) - 1
+    raised = 0
+    for trial in range(400):
+        comp = rng.randint(1, 2)
+        codes = {_encode(lay, rank, (1, 0, 0), comp)}
+        for _ in range(rng.randint(1, 8)):
+            exps = tuple(rng.randint(top - 300, top) if rng.random() < 0.3
+                         else rng.randint(0, 40) for _ in range(3))
+            codes.add(_encode(lay, rank, exps, comp))
+        codes = sorted(codes, reverse=True)
+        entry = _Entry([(c, 1) for c in codes], lay, ring.degree_location, 0)
+        delta = lay.multiplier_delta(tuple(rng.randint(0, 400) for _ in range(3)))
+        overflows = any((c + delta) & lay.exp_overflow_mask for c in codes[1:])
+        try:
+            entry.tail(delta, None, lay, True)
+        except ExponentOverflow:
+            raised += 1
+            assert overflows
+        else:
+            assert not overflows
+    assert 0 < raised < 400
