@@ -198,7 +198,6 @@ class _Layout:
         "comp_div_shift",
         "code_one",
         "exp_overflow_mask",
-        "div_low_mask",
         "div_check_mask",
         "var_deltas",
     )
@@ -271,13 +270,8 @@ class _Layout:
             mask |= 0b11 << (s + 16)
         self.exp_overflow_mask = mask
         if with_component:
-            low_top = self.comp_div_shift + _COMP_BITS
-            check = mask | (((1 << _COMP_BITS) - 1) << self.comp_div_shift)
-        else:
-            low_top = max(self.exp_shifts) + _EXP_BITS
-            check = mask
-        self.div_low_mask = (1 << low_top) - 1
-        self.div_check_mask = check
+            mask |= ((1 << _COMP_BITS) - 1) << self.comp_div_shift
+        self.div_check_mask = mask
         # multiplying by the i-th variable adds var_deltas[i] to a code
         self.var_deltas = [
             self.encode(tuple(1 if j == i else 0 for j in range(n))) - code_one
@@ -319,8 +313,7 @@ class _Layout:
 
     def divides(self, a, b):
         """Does monomial code a divide code b (same component for modules)?"""
-        t = (b - a) & self.div_low_mask
-        return not (t & self.div_check_mask)
+        return not (b - a) & self.div_check_mask
 
     def multiplier_delta(self, exps):
         """Addend realizing multiplication by the given ring monomial."""

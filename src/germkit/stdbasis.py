@@ -66,7 +66,9 @@ class Strategy:
     """Tuning knobs for std; every combination computes the same ideal.
 
     pair_selection: one of PAIR_SELECTIONS, the key of the pair queue.
-    reducer_selection: one of REDUCER_SELECTIONS, the reducer a step uses.
+    reducer_selection: one of REDUCER_SELECTIONS, the reducer a step uses;
+    under a degree bound it only breaks ties between the divisors whose
+    tails keep the fewest terms below the bound.
 
     std always applies the Gebauer-Moeller chain and product criteria;
     neither is a knob, since switching one off never made a run faster.
@@ -248,6 +250,14 @@ class _Entry:
         self.rnums = None
         self.rmax = None  # code of the tail's per-variable maximum exponents
 
+    def codes(self):
+        """The tail codes, ascending; builds the integral tail on first use."""
+        if self.rcodes is None:
+            self.rden, tail = _integral(self.terms[:0:-1])
+            self.rcodes = [t[0] for t in tail]
+            self.rnums = [t[1] for t in tail]
+        return self.rcodes
+
     def tail(self, delta, cut, lay, check):
         """(codes, L, numerators) of the tail terms that shifted by delta
         stay at or above the code cut (all of them when cut is None), in
@@ -256,9 +266,7 @@ class _Entry:
         shifted exponent leaves the packed range."""
         rc = self.rcodes
         if rc is None:
-            self.rden, tail = _integral(self.terms[:0:-1])
-            rc = self.rcodes = [t[0] for t in tail]
-            self.rnums = [t[1] for t in tail]
+            rc = self.codes()
         rn = self.rnums
         if not rc:
             return rc, self.rden, rn
@@ -417,7 +425,7 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
 
 
 def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
-             counter, ceiling, bound, sugar):
+             counter, ceiling, bound, sugar, cache=None, arrivals=()):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, sugar) with the terms as field values.
 
@@ -431,18 +439,30 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
     exponents guards the packed exponent range.
 
     `entries` is read-only and must already be in scan order for the rule:
-    (ecart, seq)-sorted for min-ecart, insertion order for first-found.  In
-    tangent-cone mode snapshots of the work polynomial join a local copy of
-    that scan list (in key order for min-ecart, at the end for first-found),
-    exactly when the chosen reducer's ecart exceeds the current ecart.
+    (ecart, length, seq)-sorted for min-ecart, insertion order for
+    first-found.  In tangent-cone mode snapshots of the work polynomial join
+    a local copy of that scan list (in key order for min-ecart, at the end
+    for first-found), exactly when the chosen reducer's ecart exceeds the
+    current ecart.
 
-    The first divisor in the scan wins, except in unbounded first-found
-    mode: termination of the tangent-cone loop needs a divisor of ecart at
-    most the remainder's to be chosen whenever one exists (so snapshots
-    happen only when every divisor would raise the ecart).  Ecart-sorted
-    scanning gives that for free; an unguarded first hit does not, and the
-    degrees can ratchet without bound, so there the first qualifying
-    divisor wins and the first divisor seen at all is the fallback.
+    Under a degree bound the divisor whose shifted tail keeps the fewest
+    terms below it wins, ties going to the first in scan order: every
+    divisor is sound there, since strict descent through the finitely many
+    monomials below the bound terminates.  Otherwise the first divisor in
+    the scan wins, except in unbounded first-found tangent-cone mode:
+    termination of that loop needs a divisor of ecart at most the
+    remainder's to be chosen whenever one exists (so snapshots happen only
+    when every divisor would raise the ecart).  Ecart-sorted scanning gives
+    that for free; an unguarded first hit does not, and the degrees can
+    ratchet without bound, so there the first qualifying divisor wins and
+    the first divisor seen at all is the fallback.
+
+    Outside tangent-cone mode a dict `cache` may remember each lead code's
+    choice as (entry, delta, index of its first tail code at or above the
+    cut, number of `arrivals` seen), `arrivals` being the same entries in
+    insertion order: a later step on that lead tests only the entries that
+    arrived since.  The owner clears it whenever the bound moves, which is
+    when entry tails and ecarts change.
     """
     extend = mora and bound >= _HUGE
     p = field.characteristic
@@ -452,12 +472,15 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
     heap = bucket.heap
     pop = heapq.heappop
     scan = entries
-    low_mask = lay.div_low_mask
     check_mask = lay.div_check_mask
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
     min_ecart = reducer_rule == "min-ecart"
     guard = extend and not min_ecart
+    if extend:
+        cache = None  # snapshots are local to this call
+    get = cache.get if cache is not None else {}.get
+    seen_all = len(arrivals)
     reds = 0
 
     while True:
@@ -471,53 +494,64 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
             counter.reductions += reds
             return [], sugar
 
-        h_ecart = 0
-        if extend:
-            rest_deg = bucket.max_degree(deg_shift, deg_mask, location)
-            hdeg = (hcode >> deg_shift) & deg_mask
-            if rest_deg is not None and rest_deg > hdeg:
-                h_ecart = rest_deg - hdeg
+        got = get(hcode)
+        if got is not None and got[3] == seen_all:
+            best, delta, lo, _ = got
+            rc = best.rcodes
+            rn = best.rnums
+            rden = best.rden
+            if lo:
+                rc = rc[lo:]
+                rn = rn[lo:]
+        else:
+            if not extend:
+                best = _choose(hcode, got, scan, arrivals, cut, check_mask,
+                               min_ecart)
+            else:
+                h_ecart = 0
+                rest_deg = bucket.max_degree(deg_shift, deg_mask, location)
+                hdeg = (hcode >> deg_shift) & deg_mask
+                if rest_deg is not None and rest_deg > hdeg:
+                    h_ecart = rest_deg - hdeg
+                best = fallback = None
+                for e in scan:
+                    if not (hcode - e.lead) & check_mask:
+                        if not guard or e.ecart <= h_ecart:
+                            best = e
+                            break
+                        if fallback is None:
+                            fallback = e
+                if best is None:
+                    best = fallback
+                if best is not None and best.ecart > h_ecart:
+                    # self-extension is what makes unbounded local reduction
+                    # terminate: every cheaper reduction is exhausted, so
+                    # remember the current state for later leads to reduce
+                    # against; its monic form is the numerators over the
+                    # lead's, so the scale cancels
+                    snap = [(hcode, field.one)]
+                    snap.extend(_over(bucket.descending(), hcoeff, p))
+                    snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
+                    if scan is entries:
+                        scan = list(entries)
+                    if min_ecart:
+                        bisect.insort(scan, snap, key=_scan_key)
+                    else:
+                        scan.append(snap)
 
-        best = fallback = None
-        for e in scan:
-            if not ((hcode - e.lead) & low_mask) & check_mask:
-                if not guard or e.ecart <= h_ecart:
-                    best = e
-                    break
-                if fallback is None:
-                    fallback = e
-        if best is None:
-            best = fallback
+            if best is None:
+                tail = bucket.descending()
+                tail.insert(0, (hcode, hcoeff))
+                counter.reductions += reds
+                return _over(tail, bucket.den, p), sugar
 
-        if best is None:
-            tail = bucket.descending()
-            tail.insert(0, (hcode, hcoeff))
-            counter.reductions += reds
-            return _over(tail, bucket.den, p), sugar
-
-        # self-extension is what makes unbounded local reduction terminate;
-        # under an active degree bound strict descent through the finitely
-        # many monomials below it already does, with a plain (u = 1)
-        # standard representation, so the snapshots are pure overhead
-        if extend:
-            if best.ecart > h_ecart:
-                # every cheaper reduction is exhausted: remember the current
-                # state so later leads can reduce against it; its monic form
-                # is the numerators over the lead's, so the scale cancels
-                snap = [(hcode, field.one)]
-                snap.extend(_over(bucket.descending(), hcoeff, p))
-                snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
-                if scan is entries:
-                    scan = list(entries)
-                if min_ecart:
-                    bisect.insort(scan, snap, key=_scan_key)
-                else:
-                    scan.append(snap)
+            delta = hcode - best.lead
+            rc, rden, rn = best.tail(delta, cut, lay, check)
+            if cache is not None:
+                cache[hcode] = (best, delta, len(best.rcodes) - len(rc), seen_all)
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
-        delta = hcode - best.lead
-        rc, rden, rn = best.tail(delta, cut, lay, check)
         if rden == 1:
             m = -hcoeff
         else:
@@ -536,6 +570,55 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
             raise ResourceExhausted(
                 "reduction ceiling of %d elementary steps exceeded" % ceiling
             )
+
+
+def _choose(hcode, got, scan, arrivals, cut, check_mask, min_ecart):
+    """The reducer of the lead hcode outside tangent-cone mode, or None.
+
+    Without a cached choice `got` every entry of `scan` is a candidate;
+    with one, only the arrivals since it was made.  Without a cut the first
+    divisor in scan order wins, so under first-found no arrival displaces a
+    cached choice.  Under a cut the least (surviving tail terms, position in
+    scan order) wins.
+    """
+    if got is None:
+        best = None
+        candidates = scan
+    else:
+        best = got[0]
+        if cut is None and not min_ecart:
+            return best
+        candidates = arrivals[got[3]:]
+    if cut is None:
+        for e in candidates:
+            if not (hcode - e.lead) & check_mask:
+                if best is None:
+                    return e
+                if _scan_key(e) < _scan_key(best):
+                    best = e
+        return best
+    divisors = [e for e in candidates if not (hcode - e.lead) & check_mask]
+    if best is None:
+        if len(divisors) < 2:
+            return divisors[0] if divisors else None
+        fewest = _HUGE
+    else:
+        fewest = len(best.rcodes) - got[2]
+    # an arrival ahead of the cached choice in scan order wins a tie
+    ties = got is not None and min_ecart
+    base = cut - hcode
+    bisect_left = bisect.bisect_left
+    for e in divisors:
+        rc = e.rcodes
+        if rc is None:
+            rc = e.codes()
+        n = len(rc) - bisect_left(rc, base + e.lead)
+        if n < fewest or ties and n == fewest and _scan_key(e) < _scan_key(best):
+            best = e
+            fewest = n
+            if not n and not ties:
+                break  # nothing later in scan order can beat it
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +645,9 @@ class _StdEngine:
         self.cut = _cut(self.lay, self.bound)
         self.cut_at_corner = _jet_eligible(ring, rank)
         self.minimal = []  # the entries with minimal leads, in arrival order
+        # lead code -> the reducer _weak_nf chose for it (see there); valid
+        # while the bound, and with it every entry's tail and ecart, stands
+        self.reducers = {}
 
     # -- truncation bookkeeping -----------------------------------------
 
@@ -590,6 +676,7 @@ class _StdEngine:
             return
         self.bound = corner
         self.cut = cut = _cut(self.lay, corner)
+        self.reducers.clear()
         lay = self.lay
         for e in self.entries:
             if e.lead < cut:
@@ -740,6 +827,8 @@ class _StdEngine:
                 self.ceiling,
                 self.bound,
                 sug,
+                self.reducers,
+                self.entries,
             )
             nf = self._truncate(nf)
             if nf:
@@ -892,11 +981,21 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     """Weak normal form of f against a reducer list or StandardBasis.
 
     The result is zero or has a leading term divisible by no reducer lead.
+    Against a StandardBasis under a pure local degree ordering (for a
+    module, term over position) whose staircase is finite, every term at or
+    above its corner is dropped, from f and throughout: the corner's power
+    of the maximal ideal lies in the span, so the result still differs from
+    f by an element of the span and is zero exactly for its members.
     """
-    if isinstance(reducers, StandardBasis):
-        reducers = list(reducers.generators)
     ring = f.ring
     rank = _rank_of(f)
+    bound = _HUGE
+    if isinstance(reducers, StandardBasis):
+        if reducers.ring == ring and _jet_eligible(ring, reducers.rank):
+            corner = _basis_corner(reducers)
+            if corner is not None and corner != INFINITE:
+                bound = corner
+        reducers = list(reducers.generators)
     field = ring.field
     lay = _layout_for(f)
     if strategy is None:
@@ -918,6 +1017,9 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     counter = Stats()
     init = f._terms
     sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
+    cut = _cut(lay, bound)
+    if cut is not None:
+        init = [t for t in init if t[0] >= cut]
     out, _ = _weak_nf(
         _WorkPoly(field.characteristic, *_integral(init)),
         entries,
@@ -928,7 +1030,7 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
         strategy.reducer_selection,
         counter,
         ceiling,
-        _HUGE,
+        bound,
         sugar,
     )
     return _wrap(f, ring, out, rank)
@@ -1127,15 +1229,20 @@ def highest_corner(basis):
     """
     if basis.rank is not None:
         raise ModuleRankMismatch("highest corner is defined for ideals")
+    corner = _basis_corner(basis)
+    if corner is None:
+        raise ValueError("jet-truncated basis does not certify its corner")
+    return corner
+
+
+def _basis_corner(basis):
+    """The corner of a basis's staircase: INFINITE when the staircase is
+    infinite, None for a jet-truncated basis whose counts do not certify."""
     if basis.jet is not None:
         counts, certified = jet_dimensions(basis)
-        if not certified:
-            raise ValueError("jet-truncated basis does not certify its corner")
-    elif basis.staircase().is_finite():
-        counts = basis.staircase().counts_by_degree()
-    else:
-        return INFINITE
-    return _corner(counts)
+        return _corner(counts) if certified else None
+    st = basis.staircase()
+    return _corner(st.counts_by_degree()) if st.is_finite() else INFINITE
 
 
 def jet_dimensions(basis):

@@ -383,7 +383,7 @@ def test_bench_counts_every_jet_rung(capsys):
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 14 + 439 + 683
+    assert record["reductions"] == 13 + 373 + 536
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,148 @@
+"""The reducer choice of std's weak normal form, and the cache behind it.
+
+Under a degree bound a step reduces by the divisor whose shifted tail keeps
+the fewest terms below the bound, ties going to scan order; the engine
+remembers each lead code's choice and later tests only the entries that
+arrived since. These tests hold the choice against a brute-force minimum,
+a cached run against one whose cache never stores anything, and local_vdim
+against the dense linear-algebra oracle.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import germkit.stdbasis as sb
+from germkit import RingContext, Strategy, VectorElement, local_vdim, std
+from germkit.acceptance import _oracle_vdim
+from germkit.errors import ResourceExhausted
+from germkit.stdbasis import PAIR_SELECTIONS, REDUCER_SELECTIONS
+
+PRIMES = (32003, 101)
+
+
+def _poly(draw, ring, p, max_exp):
+    """A sum of one to four terms of positive degree over F_p."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.n).filter(any)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, p - 1)),
+                          min_size=1, max_size=4))
+    f = ring.zero()
+    for e, c in terms:
+        f = f + ring.monomial(e, c)
+    return f
+
+
+@st.composite
+def std_inputs(draw, kinds=("ds", "ls", "module"), jets=st.integers(3, 40)):
+    """(generators, strategy, jet) over F_p: an ideal in x, y, z under ds or
+    ls, or a rank-2 module in x, y under ds, with a jet drawn from `jets`
+    (a jet above the corner makes the run tighten its bound); an ideal
+    under dp has no jet."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(kinds))
+    strategy = Strategy(draw(st.sampled_from(PAIR_SELECTIONS)),
+                        draw(st.sampled_from(REDUCER_SELECTIONS)))
+    count = draw(st.integers(2, 4))
+    if kind == "module":
+        ring = RingContext(p, ("x", "y"), "ds")
+        gens = [VectorElement.from_components([_poly(draw, ring, p, 3)
+                                               for _ in range(2)])
+                for _ in range(count)]
+    else:
+        ring = RingContext(p, ("x", "y", "z"), kind)
+        gens = [_poly(draw, ring, p, 3) for _ in range(count)]
+    gens = [g for g in gens if g]
+    jet = None if kind == "dp" else draw(jets)
+    return gens, strategy, jet
+
+
+class _NoStore(dict):
+    """A reducer cache that forgets every choice, so each step scans."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _uncached(monkeypatch):
+    init = sb._StdEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.reducers = _NoStore()
+
+    monkeypatch.setattr(sb._StdEngine, "__init__", patched)
+
+
+def _surviving(e, delta, cut):
+    return sum(1 for code, _ in e.terms[1:] if code + delta >= cut)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(std_inputs())
+def test_the_chosen_divisor_keeps_the_fewest_terms(case):
+    gens, strategy, jet = case
+    if not gens:
+        return
+    ring = gens[0].ring
+    lay = ring.module_layout if isinstance(gens[0], VectorElement) else ring.layout
+    choose = sb._choose
+    steps = []
+
+    def checked(hcode, got, scan, arrivals, cut, *rest):
+        best = choose(hcode, got, scan, arrivals, cut, *rest)
+        assert got is None and cut is not None
+        counts = [(_surviving(e, hcode - e.lead, cut), k)
+                  for k, e in enumerate(scan) if lay.divides(e.lead, hcode)]
+        if not counts:
+            assert best is None
+            return best
+        fewest, first = min(counts)
+        assert best is scan[first], (fewest, counts)
+        steps.append(fewest)
+        return best
+
+    with pytest.MonkeyPatch.context() as mp:
+        _uncached(mp)
+        mp.setattr(sb, "_choose", checked)
+        basis = std(gens, strategy, jet=jet)
+    assert len(steps) == basis.stats.reductions
+
+
+def _run(gens, strategy, jet):
+    try:
+        basis = std(gens, strategy, jet=jet, ceiling=5000)
+    except ResourceExhausted:
+        return None  # an unbounded Mora run that outgrew the ceiling
+    return ([g._terms for g in basis],
+            (basis.stats.pairs, basis.stats.discarded, basis.stats.reductions))
+
+
+# without a jet a local run tightens its bound at every new corner, which
+# must drop every remembered choice
+@settings(max_examples=120, deadline=None, database=None)
+@given(std_inputs(kinds=("ds", "ls", "module", "dp"),
+                  jets=st.one_of(st.none(), st.integers(3, 40))))
+def test_the_cache_changes_no_choice(case):
+    gens, strategy, jet = case
+    if not gens:
+        return
+    cached = _run(gens, strategy, jet)
+    with pytest.MonkeyPatch.context() as mp:
+        _uncached(mp)
+        assert _run(gens, strategy, jet) == cached
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_local_vdim_matches_the_dense_oracle(p, data):
+    # the pure powers make the quotient finite and put m^(a+b+c-2) in the
+    # ideal, so the oracle's jet there sees the whole quotient
+    kind = data.draw(st.sampled_from(("ds", "ls")))
+    ring = RingContext(p, ("x", "y", "z"), kind)
+    powers = data.draw(st.tuples(*[st.integers(1, 4)] * 3))
+    gens = [ring.monomial(tuple(a if v == k else 0 for v in range(3)), 1)
+            for k, a in enumerate(powers)]
+    gens += [_poly(data.draw, ring, p, 3) for _ in range(data.draw(st.integers(1, 3)))]
+    value, _ = local_vdim(gens)
+    assert value == _oracle_vdim(gens, sum(powers) - 2, p)

@@ -442,6 +442,32 @@ def test_membership_local_versus_global():
     assert not is_member(parse_poly("x", glob), std([fg]))
 
 
+def test_normal_form_cuts_at_the_corner_of_a_finite_staircase():
+    # std needs 10 steps here, but the tangent-cone reduction of three of
+    # the generators' s-polynomials against the basis ran past 30 000 steps
+    # uncut; the corner's power of the maximal ideal lies in the ideal, so
+    # the terms there are dropped and membership stays exact (the ceiling
+    # counts steps: 0 allows none)
+    ring = _ring("ls", 32003)
+    g = [parse_poly(t, ring) for t in (
+        "8702*x+16324*x^3+25776*x*y*z^2", "25919*x^2*y",
+        "14978*x^2+9842*x*y^2+9959*y^2*z^2", "21874*y+6459*z+24841*x^2",
+    )]
+    basis = std(g)
+    assert highest_corner(basis) == 4
+    assert normal_form(spoly(g[2], g[0]), basis, ceiling=1).is_zero
+    assert normal_form(spoly(g[3], g[2]), basis, ceiling=1).is_zero
+    s = spoly(g[2], g[1])
+    assert normal_form(s, basis, ceiling=0).is_zero
+    assert is_member(s, basis, ceiling=0)
+    _, jet_basis = local_vdim(g)
+    assert normal_form(s, jet_basis, ceiling=0).is_zero
+    # below the corner a standard monomial stays
+    z = parse_poly("z", ring)
+    assert normal_form(z + s, basis, ceiling=0) == z
+    assert not is_member(z, basis)
+
+
 def test_euler_relation_membership():
     ring = _ring("ds", names="x,y")
     jacobian = std([parse_poly("3*x^2", ring), parse_poly("5*y^4", ring)])
