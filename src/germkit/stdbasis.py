@@ -991,7 +991,7 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
     rank = _rank_of(f)
     bound = _HUGE
     if isinstance(reducers, StandardBasis):
-        if reducers.ring == ring and _jet_eligible(ring, reducers.rank):
+        if _jet_eligible(ring, reducers.rank):
             corner = _basis_corner(reducers)
             if corner is not None and corner != INFINITE:
                 bound = corner
