@@ -12,8 +12,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .invariants import (
     HypersurfaceGerm,
     find_weights,
@@ -35,7 +33,6 @@ from .poincare import (
 from .ring import order_of
 from .stdbasis import (
     PAIR_SELECTIONS,
-    REDUCER_SELECTIONS,
     Strategy,
     highest_corner,
     local_vdim,
@@ -45,9 +42,7 @@ from .stdbasis import (
 
 DEFAULT_SEED = 20250819
 
-ALL_STRATEGIES = tuple(
-    Strategy(p, r) for p in PAIR_SELECTIONS for r in REDUCER_SELECTIONS
-)
+ALL_STRATEGIES = tuple(Strategy(p) for p in PAIR_SELECTIONS)
 
 
 @dataclass(frozen=True)
@@ -92,31 +87,28 @@ def _random_poly(rng, ring, max_terms, max_deg, zero_ok=False):
 
 
 def _rank_mod_p(rows, p):
-    """Row rank of an integer matrix over F_p, plain Gaussian elimination."""
-    if not rows:
-        return 0
-    a = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
+    """Row rank of an integer matrix over F_p by sparse elimination: each
+    row, as a dict from column to nonzero residue, is reduced from its least
+    column up by the pivot rows found so far, which are monic and keyed by
+    their least column, and becomes one itself unless it reduces to zero."""
+    pivots = {}
+    for row in rows:
+        r = {c: v % p for c, v in enumerate(row) if v % p}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(r[c], p - 2, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rest = a[r + 1 :, c]
-        if rest.any():
-            a[r + 1 :] = (a[r + 1 :] - np.outer(rest, a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+            m = r[c]
+            for k, v in piv.items():
+                s = (r.get(k, 0) - m * v) % p
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    return len(pivots)
 
 
 def _monomials_below(n, cap):

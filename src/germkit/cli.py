@@ -20,10 +20,10 @@ ordering grammar, each ending at the block that covers the last variable:
 in two variables ds,ls,dp(1),ds(1) is three orderings. JSON dimensions
 (mu, tau, vdim) are integers or "infinite".
 
-A --strategy is a comma list of a pair selection (sugar, min-lcm-degree,
-fifo) and a reducer selection (min-ecart, first-found); bench --strategies
-takes several, separated by semicolons, and checks them all before it runs
-any. An unknown token is a usage error. The chain and product criteria of
+A --strategy is a pair selection (sugar, min-lcm-degree, fifo); bench
+--strategies takes several, separated by semicolons, and checks them all
+before it runs any. An unknown token is a usage error. The reducer rule
+follows from the mode, and the chain and product criteria of
 Gebauer-Moeller are no options: every run applies them.
 
 Every flag has a GERMKIT_* environment variable fallback (GERMKIT_RING,
@@ -66,7 +66,6 @@ from .stdbasis import (
     DEFAULT_CEILING,
     INFINITE,
     PAIR_SELECTIONS,
-    REDUCER_SELECTIONS,
     Strategy,
     highest_corner,
     local_vdim,
@@ -109,8 +108,7 @@ def _build_parser(env):
     common.add_argument("--char", type=int, default=env.get("CHAR"), metavar="P",
                         help="characteristic override")
     common.add_argument("--strategy", default=env.get("STRATEGY"), metavar="OPTS",
-                        help="comma list: %s, %s" % ("|".join(PAIR_SELECTIONS),
-                                                     "|".join(REDUCER_SELECTIONS)))
+                        help="pair selection: %s" % "|".join(PAIR_SELECTIONS))
     # string defaults go through type=int, so a bad variable is a usage error
     common.add_argument("--ceiling", type=int,
                         default=env.get("CEILING", str(DEFAULT_CEILING)),
@@ -421,7 +419,7 @@ def _bench_one(label, gens, strategy_text, strategy, ceiling):
 
 
 def _cmd_bench(args):
-    strategy_texts = ["sugar,min-ecart"]
+    strategy_texts = ["sugar"]
     if args.strategies:
         strategy_texts = [s.strip() for s in args.strategies.split(";") if s.strip()]
     strategies = [(text, _parse_strategy(text)) for text in strategy_texts]

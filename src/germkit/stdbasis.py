@@ -58,51 +58,40 @@ _HUGE = 1 << 60
 
 
 PAIR_SELECTIONS = ("sugar", "min-lcm-degree", "fifo")
-REDUCER_SELECTIONS = ("min-ecart", "first-found")
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Tuning knobs for std; every combination computes the same ideal.
+    """The one tuning knob of std; every choice computes the same ideal.
 
     pair_selection: one of PAIR_SELECTIONS, the key of the pair queue.
-    reducer_selection: one of REDUCER_SELECTIONS, the reducer a step uses;
-    under a degree bound it only breaks ties between the divisors whose
-    tails keep the fewest terms below the bound.
 
-    std always applies the Gebauer-Moeller chain and product criteria;
-    neither is a knob, since switching one off never made a run faster.
+    The reducer a step uses is no knob: the mode decides it (see _weak_nf).
+    Nor are the Gebauer-Moeller chain and product criteria, which std
+    always applies, since switching one off never made a run faster.
     """
 
     pair_selection: str = "sugar"
-    reducer_selection: str = "min-ecart"
 
     def __post_init__(self):
         if self.pair_selection not in PAIR_SELECTIONS:
             raise ValueError("bad pair selection %r" % (self.pair_selection,))
-        if self.reducer_selection not in REDUCER_SELECTIONS:
-            raise ValueError("bad reducer selection %r" % (self.reducer_selection,))
 
     @classmethod
     def from_text(cls, text):
-        """Parse a comma list such as 'fifo,first-found'; the last token of
-        each kind wins and a missing kind keeps its default."""
+        """Parse a comma list such as 'fifo'; the last token wins and an
+        empty list keeps the default."""
         fields = {}
         for raw in text.split(","):
             tok = raw.strip()
             if tok in PAIR_SELECTIONS:
                 fields["pair_selection"] = tok
-            elif tok in REDUCER_SELECTIONS:
-                fields["reducer_selection"] = tok
             elif tok:
                 raise ValueError("unknown strategy token %r" % tok)
         return cls(**fields)
 
     def to_json(self):
-        return {
-            "pair_selection": self.pair_selection,
-            "reducer_selection": self.reducer_selection,
-        }
+        return {"pair_selection": self.pair_selection}
 
 
 @dataclass
@@ -287,6 +276,9 @@ class _Entry:
 
 
 def _scan_key(e):
+    """Mora's scan order: least ecart first, ties to the shortest tail
+    (cheaper to apply; a monomial reducer deletes the term outright), then
+    to the older entry."""
     return (e.ecart, len(e.terms), e.seq)
 
 
@@ -424,8 +416,8 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
 # weak normal form
 
 
-def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
-             counter, ceiling, bound, sugar, cache=None, arrivals=()):
+def _weak_nf(bucket, entries, lay, field, location, mora, counter, ceiling,
+             bound, sugar, cache=None):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, sugar) with the terms as field values.
 
@@ -438,31 +430,27 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
     (_Entry.tail), and past a bound of 4096 one test of the tail's maximum
     exponents guards the packed exponent range.
 
-    `entries` is read-only and must already be in scan order for the rule:
-    (ecart, length, seq)-sorted for min-ecart, insertion order for
-    first-found.  In tangent-cone mode snapshots of the work polynomial join
-    a local copy of that scan list (in key order for min-ecart, at the end
-    for first-found), exactly when the chosen reducer's ecart exceeds the
-    current ecart.
+    `entries` is read-only and in insertion order.  The mode decides which
+    divisor of the lead a step reduces by:
 
-    Under a degree bound the divisor whose shifted tail keeps the fewest
-    terms below it wins, ties going to the first in scan order: every
-    divisor is sound there, since strict descent through the finitely many
-    monomials below the bound terminates.  Otherwise the first divisor in
-    the scan wins, except in unbounded first-found tangent-cone mode:
-    termination of that loop needs a divisor of ecart at most the
-    remainder's to be chosen whenever one exists (so snapshots happen only
-    when every divisor would raise the ecart).  Ecart-sorted scanning gives
-    that for free; an unguarded first hit does not, and the degrees can
-    ratchet without bound, so there the first qualifying divisor wins and
-    the first divisor seen at all is the fallback.
+    - In tangent-cone mode without a degree bound, one of least ecart
+      (Mora's rule), since termination needs a divisor of ecart at most the
+      remainder's whenever one exists: the scan is a local copy of `entries`
+      sorted by (ecart, length, seq), and the first divisor in it wins.  When
+      its ecart exceeds the current ecart, a snapshot of the work polynomial
+      joins that copy in key order for later leads to reduce against.
+    - Under a degree bound, the divisor whose shifted tail keeps the fewest
+      terms below the bound, ties going to the older entry.  Every divisor
+      is sound there, since strict descent through the finitely many
+      monomials below the bound terminates.
+    - Otherwise (Buchberger), the oldest divisor.
 
     Outside tangent-cone mode a dict `cache` may remember each lead code's
     choice as (entry, delta, index of its first tail code at or above the
-    cut, number of `arrivals` seen), `arrivals` being the same entries in
-    insertion order: a later step on that lead tests only the entries that
-    arrived since.  The owner clears it whenever the bound moves, which is
-    when entry tails and ecarts change.
+    cut, number of entries seen): a later step on that lead tests only the
+    entries that arrived since, and without a cut none of them can displace
+    the oldest divisor.  The owner clears it whenever the bound moves, which
+    is when entry tails and ecarts change.
     """
     extend = mora and bound >= _HUGE
     p = field.characteristic
@@ -471,16 +459,14 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
     terms = bucket.terms
     heap = bucket.heap
     pop = heapq.heappop
-    scan = entries
     check_mask = lay.div_check_mask
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
-    min_ecart = reducer_rule == "min-ecart"
-    guard = extend and not min_ecart
     if extend:
         cache = None  # snapshots are local to this call
+        scan = sorted(entries, key=_scan_key)
     get = cache.get if cache is not None else {}.get
-    seen_all = len(arrivals)
+    seen_all = len(entries)
     reds = 0
 
     while True:
@@ -495,7 +481,7 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
             return [], sugar
 
         got = get(hcode)
-        if got is not None and got[3] == seen_all:
+        if got is not None and (cut is None or got[3] == seen_all):
             best, delta, lo, _ = got
             rc = best.rcodes
             rn = best.rnums
@@ -505,24 +491,18 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
                 rn = rn[lo:]
         else:
             if not extend:
-                best = _choose(hcode, got, scan, arrivals, cut, check_mask,
-                               min_ecart)
+                best = _choose(hcode, got, entries, cut, check_mask)
             else:
                 h_ecart = 0
                 rest_deg = bucket.max_degree(deg_shift, deg_mask, location)
                 hdeg = (hcode >> deg_shift) & deg_mask
                 if rest_deg is not None and rest_deg > hdeg:
                     h_ecart = rest_deg - hdeg
-                best = fallback = None
+                best = None
                 for e in scan:
                     if not (hcode - e.lead) & check_mask:
-                        if not guard or e.ecart <= h_ecart:
-                            best = e
-                            break
-                        if fallback is None:
-                            fallback = e
-                if best is None:
-                    best = fallback
+                        best = e
+                        break
                 if best is not None and best.ecart > h_ecart:
                     # self-extension is what makes unbounded local reduction
                     # terminate: every cheaper reduction is exhausted, so
@@ -532,12 +512,7 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
                     snap = [(hcode, field.one)]
                     snap.extend(_over(bucket.descending(), hcoeff, p))
                     snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
-                    if scan is entries:
-                        scan = list(entries)
-                    if min_ecart:
-                        bisect.insort(scan, snap, key=_scan_key)
-                    else:
-                        scan.append(snap)
+                    bisect.insort(scan, snap, key=_scan_key)
 
             if best is None:
                 tail = bucket.descending()
@@ -572,52 +547,41 @@ def _weak_nf(bucket, entries, lay, field, location, mora, reducer_rule,
             )
 
 
-def _choose(hcode, got, scan, arrivals, cut, check_mask, min_ecart):
+def _choose(hcode, got, entries, cut, check_mask):
     """The reducer of the lead hcode outside tangent-cone mode, or None.
 
-    Without a cached choice `got` every entry of `scan` is a candidate;
-    with one, only the arrivals since it was made.  Without a cut the first
-    divisor in scan order wins, so under first-found no arrival displaces a
-    cached choice.  Under a cut the least (surviving tail terms, position in
-    scan order) wins.
+    Without a cut the oldest divisor wins.  Under a cut the divisor whose
+    shifted tail keeps the fewest terms at or above the cut wins, ties going
+    to the older entry; with a cached choice `got` only the entries that
+    arrived since it was made are candidates, and one of them must keep
+    strictly fewer terms to displace it.
     """
+    if cut is None:
+        for e in entries:
+            if not (hcode - e.lead) & check_mask:
+                return e
+        return None
     if got is None:
         best = None
-        candidates = scan
-    else:
-        best = got[0]
-        if cut is None and not min_ecart:
-            return best
-        candidates = arrivals[got[3]:]
-    if cut is None:
-        for e in candidates:
-            if not (hcode - e.lead) & check_mask:
-                if best is None:
-                    return e
-                if _scan_key(e) < _scan_key(best):
-                    best = e
-        return best
-    divisors = [e for e in candidates if not (hcode - e.lead) & check_mask]
-    if best is None:
-        if len(divisors) < 2:
-            return divisors[0] if divisors else None
         fewest = _HUGE
     else:
-        fewest = len(best.rcodes) - got[2]
-    # an arrival ahead of the cached choice in scan order wins a tie
-    ties = got is not None and min_ecart
+        best, _, lo, seen = got
+        fewest = len(best.rcodes) - lo
+        entries = entries[seen:]
     base = cut - hcode
     bisect_left = bisect.bisect_left
-    for e in divisors:
+    for e in entries:
+        if (hcode - e.lead) & check_mask:
+            continue
         rc = e.rcodes
         if rc is None:
             rc = e.codes()
         n = len(rc) - bisect_left(rc, base + e.lead)
-        if n < fewest or ties and n == fewest and _scan_key(e) < _scan_key(best):
+        if n < fewest:
             best = e
             fewest = n
-            if not n and not ties:
-                break  # nothing later in scan order can beat it
+            if not n:
+                break  # no later entry can beat it
     return best
 
 
@@ -640,7 +604,6 @@ class _StdEngine:
         self.pairs = {}  # (i, j) -> lcm code
         self.heap = []
         self.pair_seq = 0
-        self.scan_order = []
         self.bound = jet if jet is not None else _HUGE
         self.cut = _cut(self.lay, self.bound)
         self.cut_at_corner = _jet_eligible(ring, rank)
@@ -762,9 +725,6 @@ class _StdEngine:
             self.minimal.append(entry)
         if self.cut_at_corner:
             self._tighten_corner()
-        # ties in ecart go to the shortest tail: cheaper to apply, and a
-        # monomial reducer deletes the term outright
-        self.scan_order = sorted(entries, key=_scan_key)
         lay_deg = lay.degree
         for i in survivors:
             lcm_code = lcms[i]
@@ -796,7 +756,6 @@ class _StdEngine:
             terms = self._truncate(terms)
             if terms:
                 self.insert(_monic(terms, field), sugar)
-        min_ecart = self.strategy.reducer_selection == "min-ecart"
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             lcm_code = self.pairs.pop((i, j), None)
@@ -817,18 +776,16 @@ class _StdEngine:
             )
             nf, sug = _weak_nf(
                 s_poly,
-                self.scan_order if min_ecart else self.entries,
+                self.entries,
                 lay,
                 field,
                 self.location,
                 self.mora,
-                self.strategy.reducer_selection,
                 self.stats,
                 self.ceiling,
                 self.bound,
                 sug,
                 self.reducers,
-                self.entries,
             )
             nf = self._truncate(nf)
             if nf:
@@ -977,15 +934,17 @@ def std(
     return StandardBasis(ring, rank, gens_out, engine.stats, mode_used, strategy, jet)
 
 
-def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING):
+def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     """Weak normal form of f against a reducer list or StandardBasis.
 
-    The result is zero or has a leading term divisible by no reducer lead.
-    Against a StandardBasis under a pure local degree ordering (for a
-    module, term over position) whose staircase is finite, every term at or
-    above its corner is dropped, from f and throughout: the corner's power
-    of the maximal ideal lies in the span, so the result still differs from
-    f by an element of the span and is zero exactly for its members.
+    The result is zero or has a leading term divisible by no reducer lead;
+    the mode's rule picks each step's reducer (see _weak_nf), list order
+    standing for age.  Against a StandardBasis under a pure local degree
+    ordering (for a module, term over position) whose staircase is finite,
+    every term at or above its corner is dropped, from f and throughout: the
+    corner's power of the maximal ideal lies in the span, so the result
+    still differs from f by an element of the span and is zero exactly for
+    its members.
     """
     ring = f.ring
     rank = _rank_of(f)
@@ -998,8 +957,6 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
         reducers = list(reducers.generators)
     field = ring.field
     lay = _layout_for(f)
-    if strategy is None:
-        strategy = Strategy()
     mora = _uses_mora(mode, ring)
     entries = []
     for k, g in enumerate(reducers):
@@ -1012,8 +969,6 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
         ):
             raise ModuleRankMismatch("reducers do not match the element")
         entries.append(_Entry(_monic(g._terms, field), lay, ring.degree_location, k))
-    if strategy.reducer_selection == "min-ecart":
-        entries.sort(key=_scan_key)
     counter = Stats()
     init = f._terms
     sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
@@ -1027,7 +982,6 @@ def normal_form(f, reducers, mode="auto", strategy=None, ceiling=DEFAULT_CEILING
         field,
         ring.degree_location,
         mora,
-        strategy.reducer_selection,
         counter,
         ceiling,
         bound,

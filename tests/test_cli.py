@@ -133,7 +133,7 @@ def test_json_determinism(capsys):
 
 
 def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("GERMKIT_STRATEGY", "fifo,first-found")
+    monkeypatch.setenv("GERMKIT_STRATEGY", "fifo")
     code, out, _ = run(capsys, "milnor", "--family", "ft:5,4", "--json")
     assert code == 0
     data = json.loads(out)
@@ -224,7 +224,8 @@ def test_bench_checks_every_strategy_before_running(capsys, monkeypatch):
     assert err == "germkit bench: unknown strategy token 'bogus'\n"
 
 
-@pytest.mark.parametrize("token", ["chain", "no-chain", "product", "no-product"])
+@pytest.mark.parametrize("token", ["chain", "no-chain", "product", "no-product",
+                                   "min-ecart", "first-found"])
 def test_pair_criteria_are_not_strategy_tokens(capsys, token):
     code, _, err = run(capsys, *VDIM_ARGV, "--strategy", "sugar," + token)
     assert code == 2
@@ -383,7 +384,7 @@ def test_bench_counts_every_jet_rung(capsys):
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 13 + 373 + 536
+    assert record["reductions"] == 13 + 282 + 426
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The reducer choice of std's weak normal form, and the cache behind it.
 
 Under a degree bound a step reduces by the divisor whose shifted tail keeps
-the fewest terms below the bound, ties going to scan order; the engine
+the fewest terms below the bound, ties going to the older entry; the engine
 remembers each lead code's choice and later tests only the entries that
 arrived since. These tests hold the choice against a brute-force minimum,
 a cached run against one whose cache never stores anything, and local_vdim
@@ -16,7 +16,7 @@ import germkit.stdbasis as sb
 from germkit import RingContext, Strategy, VectorElement, local_vdim, std
 from germkit.acceptance import _oracle_vdim
 from germkit.errors import ResourceExhausted
-from germkit.stdbasis import PAIR_SELECTIONS, REDUCER_SELECTIONS
+from germkit.stdbasis import PAIR_SELECTIONS
 
 PRIMES = (32003, 101)
 
@@ -40,8 +40,7 @@ def std_inputs(draw, kinds=("ds", "ls", "module"), jets=st.integers(3, 40)):
     under dp has no jet."""
     p = draw(st.sampled_from(PRIMES))
     kind = draw(st.sampled_from(kinds))
-    strategy = Strategy(draw(st.sampled_from(PAIR_SELECTIONS)),
-                        draw(st.sampled_from(REDUCER_SELECTIONS)))
+    strategy = Strategy(draw(st.sampled_from(PAIR_SELECTIONS)))
     count = draw(st.integers(2, 4))
     if kind == "module":
         ring = RingContext(p, ("x", "y"), "ds")
@@ -88,16 +87,16 @@ def test_the_chosen_divisor_keeps_the_fewest_terms(case):
     choose = sb._choose
     steps = []
 
-    def checked(hcode, got, scan, arrivals, cut, *rest):
-        best = choose(hcode, got, scan, arrivals, cut, *rest)
+    def checked(hcode, got, entries, cut, *rest):
+        best = choose(hcode, got, entries, cut, *rest)
         assert got is None and cut is not None
         counts = [(_surviving(e, hcode - e.lead, cut), k)
-                  for k, e in enumerate(scan) if lay.divides(e.lead, hcode)]
+                  for k, e in enumerate(entries) if lay.divides(e.lead, hcode)]
         if not counts:
             assert best is None
             return best
-        fewest, first = min(counts)
-        assert best is scan[first], (fewest, counts)
+        fewest, oldest = min(counts)
+        assert best is entries[oldest], (fewest, counts)
         steps.append(fewest)
         return best
 
