@@ -380,14 +380,14 @@ class _SparseSpan:
         return not self._reduce(dict(row))
 
 
-def _truncated_row(p, order):
-    """Dict of exponents -> coefficient over the terms of degree < order."""
+def _jet_terms(p, order):
+    """(exponents, degree, coefficient) of the terms of p of degree <= order."""
     lay = p.ring.layout
-    out = {}
+    out = []
     for code, c in p._terms:
-        e = lay.decode_exps(code)
-        if sum(e) < order:
-            out[e] = c
+        d = lay.degree(code)
+        if d <= order:
+            out.append((lay.decode_exps(code), d, c))
     return out
 
 
@@ -405,14 +405,22 @@ def reiffen_condition_1(f, g, order="auto", *, strategy=None, ceiling=DEFAULT_CE
     """Reiffen's first condition: <f,g>*Omega^3 inside d(<f,g>*Omega^2).
 
     Decided modulo the order-th power of the maximal ideal: the span V of
-    the truncations of d(m*h*w) over monomials m of degree <= order,
-    h in {f, g} and basis 2-forms w is compared against the truncations of
-    f*dx^dy^dz and g*dx^dy^dz. Membership gives "verified-to-order N",
-    an up-to-order certificate rather than an unconditional proof; a miss
-    refutes the containment outright, since multipliers beyond the order
-    only contribute above the truncation. order="auto" resolves to the
-    highest corner of <f,g> + j(f) + j(g) plus 2, so the quotient in which
-    membership is decided is already stable.
+    the truncations below degree `order` of d(m*h*w), over monomials m of
+    degree <= order, h in {f, g} and basis 2-forms w, is compared against
+    the truncations of f*dx^dy^dz and g*dx^dy^dz. Membership gives
+    "verified-to-order N", an up-to-order certificate rather than an
+    unconditional proof; a miss refutes the containment outright, since
+    multipliers beyond the order only contribute above the truncation.
+    order="auto" resolves to the highest corner of <f,g> + j(f) + j(g)
+    plus 2, so the quotient in which membership is decided is already
+    stable.
+
+    The rows of V are read off the terms of f and g of degree <= order:
+    d(m*h * dy^dz) = (m*h)_x dx^dy^dz, and cyclically, so the row of m, h
+    and variable i is {m+t-e_i: (m_i+t_i)*c} over the terms c*x^t of h with
+    deg m + deg t <= order, without the zero values (m_i+t_i zero in the
+    field). Distinct terms of h stay distinct in m*h, so no two terms of a
+    row collide.
     """
     germ = SpaceCurveGerm(f, g)
     ring = germ.ring
@@ -440,18 +448,29 @@ def reiffen_condition_1(f, g, order="auto", *, strategy=None, ceiling=DEFAULT_CE
             0,
             "vacuous: every form is congruent to zero modulo the zeroth power",
         )
-    span = _SparseSpan(ring.field)
+    field = ring.field
+    mul = field.mul
+    scale = [field.coerce(k) for k in range(order + 1)]
+    jets = (_jet_terms(f, order), _jet_terms(g, order))
+    span = _SparseSpan(field)
     for m in _monomials_up_to(order):
-        mono = ring.monomial(m)
-        for h in (f, g):
-            q = mono * h
-            # d(q * dy^dz) = q_x dx^dy^dz, and cyclically for the others
+        room = order - sum(m)
+        for terms in jets:
+            shifted = [
+                (tuple(a + b for a, b in zip(m, e)), c)
+                for e, d, c in terms
+                if d <= room
+            ]
             for i in range(3):
-                row = _truncated_row(q.partial(i), order)
+                row = {}
+                for s, c in shifted:
+                    v = mul(c, scale[s[i]])
+                    if v:
+                        row[s[:i] + (s[i] - 1,) + s[i + 1:]] = v
                 if row:
                     span.insert(row)
-    verified = span.contains(_truncated_row(f, order)) and span.contains(
-        _truncated_row(g, order)
+    verified = all(
+        span.contains({e: c for e, d, c in terms if d < order}) for terms in jets
     )
     return Condition1Result(verified, order)
 

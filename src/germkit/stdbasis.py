@@ -608,6 +608,10 @@ class _StdEngine:
         self.cut = _cut(self.lay, self.bound)
         self.cut_at_corner = _jet_eligible(ring, rank)
         self.minimal = []  # the entries with minimal leads, in arrival order
+        # the (component, variable) pairs with no pure-power lead yet; the
+        # staircase of the leads is finite exactly when none is left
+        comps = (0,) if rank is None else range(1, rank + 1)
+        self.open_axes = {(c, v) for c in comps for v in range(ring.n)}
         # lead code -> the reducer _weak_nf chose for it (see there); valid
         # while the bound, and with it every entry's tail and ecart, stands
         self.reducers = {}
@@ -621,14 +625,16 @@ class _StdEngine:
         module, so every monomial of degree at or above its corner is a lead
         multiple and cutting there loses nothing below the jet.  An infinite
         staircase has a standard monomial in every degree, so it has no
-        corner; counts up to a cap below the top of a finite one prove the
-        corner only when their top slot is empty.
+        corner: while some component lacks a pure power of some variable
+        (open_axes, kept by insert) this returns at once.  Only a finite
+        staircase is built and counted; counts up to a cap below its top
+        prove the corner only when their top slot is empty.
         """
+        if self.open_axes:
+            return
         st = Staircase(
             self.ring.n, self.rank, [(e.lead_exps, e.comp or 0) for e in self.minimal]
         )
-        if not st.is_finite():
-            return
         top = st._top_bound()
         cap = min(self.bound - 1, top)
         counts = st.counts_by_degree(cap)
@@ -724,6 +730,12 @@ class _StdEngine:
             self.minimal = [e for e in self.minimal if not lay.divides(lead, e.lead)]
             self.minimal.append(entry)
         if self.cut_at_corner:
+            axes = [v for v, a in enumerate(exps) if a]
+            c = comp or 0
+            if not axes:  # a unit lead: the component's staircase is empty
+                self.open_axes = {k for k in self.open_axes if k[0] != c}
+            elif len(axes) == 1:
+                self.open_axes.discard((c, axes[0]))
             self._tighten_corner()
         lay_deg = lay.degree
         for i in survivors:

@@ -174,6 +174,19 @@ def test_computation_error_maps_to_one(capsys):
     assert code == 1 and "q" in err
 
 
+@pytest.mark.parametrize("order, code, message", [
+    ("65", 1, "ResourceExhausted: condition-1 linear algebra refused at order 65"
+              " (limit 64)"),
+    ("-1", 1, "ParameterOutOfRange: truncation order must be a non-negative"
+              " integer"),
+    ("abc", 2, "--order takes an integer or auto"),
+])
+def test_reiffen_order_refusals(capsys, order, code, message):
+    got, out, err = run(capsys, "reiffen", "--family", "ft:5,4", "--order", order)
+    assert (got, out) == (code, "")
+    assert err == "germkit reiffen: %s\n" % message
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["milnor", "--bogus"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from germkit import poincare
 from germkit import (
     DifferentialForm,
     OmegaPresentation,
@@ -22,8 +23,10 @@ from germkit.errors import (
     DegreeOverflow,
     NonIsolated,
     ParameterOutOfRange,
+    ResourceExhausted,
     WrongVariableCount,
 )
+from germkit.poincare import MAX_CONDITION1_ORDER
 
 SEED = 424
 
@@ -228,6 +231,89 @@ def test_condition_1_explicit_orders_are_monotone():
 def test_condition_1_order_zero_is_vacuous(ring):
     res = reiffen_condition_1(parse_poly("x", ring), parse_poly("y", ring), 0)
     assert res.verified and res.order == 0 and "vacuous" in res.note
+
+
+def _literal_condition_1(f, g, order):
+    """(verdict, span dimension) of condition 1 built from its definition:
+    the rows are the truncations below `order` of d(m*h * w), computed as
+    (m*h).partial(i) for every monomial m of degree <= order."""
+    ring = f.ring
+
+    def truncated(p):
+        return {e: c for c, e in p.terms() if sum(e) < order}
+
+    span = poincare._SparseSpan(ring.field)
+    for m in poincare._monomials_up_to(order):
+        for h in (f, g):
+            q = ring.monomial(m) * h
+            for i in range(3):
+                row = truncated(q.partial(i))
+                if row:
+                    span.insert(row)
+    verified = span.contains(truncated(f)) and span.contains(truncated(g))
+    return verified, len(span.pivots)
+
+
+def _condition_1_with_span(f, g, order, monkeypatch):
+    """(verdict, span dimension) of reiffen_condition_1 itself."""
+    spans = []
+
+    class Recorded(poincare._SparseSpan):
+        def __init__(self, field):
+            super().__init__(field)
+            spans.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(poincare, "_SparseSpan", Recorded)
+        res = reiffen_condition_1(f, g, order)
+    assert res.order == order
+    return res.verified, sum(len(s.pivots) for s in spans)
+
+
+def _rand_germ_poly(rng, ring):
+    """A nonzero polynomial without constant term, degree at most 5."""
+    while True:
+        p = ring.zero()
+        for _ in range(rng.randint(1, 4)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(1, 5)):
+                e[rng.randrange(3)] += 1
+            p = p + ring.monomial(tuple(e), rng.randint(-4, 4))
+        if p:
+            return p
+
+
+@pytest.mark.parametrize("char", [0, 2, 7, 32003])
+def test_condition_1_rows_match_the_literal_definition(char, monkeypatch):
+    # in characteristic 2 and 7 some derivatives vanish term by term, which
+    # the rows must drop exactly as Polynomial.partial does
+    ring = parse_ring("ring %d (x,y,z) ds" % char)
+    rng = random.Random(SEED + char)
+    for _ in range(6):
+        f, g = _rand_germ_poly(rng, ring), _rand_germ_poly(rng, ring)
+        assert reiffen_condition_1(f, g, 0).verified
+        for order in range(1, 7):
+            got = _condition_1_with_span(f, g, order, monkeypatch)
+            assert got == _literal_condition_1(f, g, order), (f, g, order)
+
+
+def test_condition_1_refutation_in_characteristic_two(monkeypatch):
+    # every ft-corpus germ verifies, so a span too large would change no
+    # output there; this pair refutes, and so does the literal span
+    ring = parse_ring("ring 2 (x,y,z) ds")
+    f, g = parse_poly("x*y^2", ring), parse_poly("z+x*y*z", ring)
+    assert reiffen_condition_1(f, g, 5).label() == "refuted-at-order 5"
+    got = _condition_1_with_span(f, g, 5, monkeypatch)
+    assert got == _literal_condition_1(f, g, 5)
+    assert not got[0]
+
+
+def test_condition_1_refusals():
+    germ = ft_germ(5, 4)
+    with pytest.raises(ResourceExhausted, match="refused at order 65"):
+        reiffen_condition_1(germ.f, germ.g, MAX_CONDITION1_ORDER + 1)
+    with pytest.raises(ParameterOutOfRange):
+        reiffen_condition_1(germ.f, germ.g, -1)
 
 
 def test_non_isolated_pair_raises(ring):

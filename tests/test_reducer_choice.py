@@ -1,11 +1,15 @@
-"""The reducer choice of std's weak normal form, and the cache behind it.
+"""The reducer choice of std's weak normal form, and the engine's
+bookkeeping behind it.
 
 Under a degree bound a step reduces by the divisor whose shifted tail keeps
 the fewest terms below the bound, ties going to the older entry; the engine
 remembers each lead code's choice and later tests only the entries that
 arrived since. These tests hold the choice against a brute-force minimum,
 a cached run against one whose cache never stores anything, and local_vdim
-against the dense linear-algebra oracle.
+against the dense linear-algebra oracle. The corner tightening skips the
+staircase while some component lacks a pure power of some variable; the
+last tests hold that set against the staircase at every call, and a run
+against one that builds and asks the staircase every time.
 """
 
 import pytest
@@ -13,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import germkit.stdbasis as sb
-from germkit import RingContext, Strategy, VectorElement, local_vdim, std
+from germkit import (
+    OmegaPresentation,
+    RingContext,
+    Strategy,
+    VectorElement,
+    ft_germ,
+    local_vdim,
+    std,
+)
 from germkit.acceptance import _oracle_vdim
 from germkit.errors import ResourceExhausted
 from germkit.stdbasis import PAIR_SELECTIONS
@@ -145,3 +157,96 @@ def test_local_vdim_matches_the_dense_oracle(p, data):
     gens += [_poly(data.draw, ring, p, 3) for _ in range(data.draw(st.integers(1, 3)))]
     value, _ = local_vdim(gens)
     assert value == _oracle_vdim(gens, sum(powers) - 2, p)
+
+
+# ---------------------------------------------------------------------------
+# the pure-power bookkeeping of the corner tightening
+
+
+def _staircase(engine):
+    return sb.Staircase(engine.ring.n, engine.rank,
+                        [(e.lead_exps, e.comp or 0) for e in engine.minimal])
+
+
+def _checked_corner(monkeypatch, calls):
+    """Every corner call asserts that open axes remain exactly when the
+    staircase of the current leads is infinite."""
+    tighten = sb._StdEngine._tighten_corner
+
+    def checked(self):
+        assert bool(self.open_axes) == (not _staircase(self).is_finite())
+        calls.append(bool(self.open_axes))
+        tighten(self)
+
+    monkeypatch.setattr(sb._StdEngine, "_tighten_corner", checked)
+
+
+def _recounted(monkeypatch):
+    """Every corner call builds the staircase and asks it whether it is
+    finite, in place of the open axes."""
+    tighten = sb._StdEngine._tighten_corner
+
+    def recounted(self):
+        kept = self.open_axes
+        self.open_axes = set() if _staircase(self).is_finite() else {None}
+        try:
+            tighten(self)
+        finally:
+            self.open_axes = kept
+
+    monkeypatch.setattr(sb._StdEngine, "_tighten_corner", recounted)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(std_inputs(jets=st.one_of(st.none(), st.integers(3, 40))))
+def test_open_axes_remain_exactly_while_the_staircase_is_infinite(case):
+    gens, strategy, jet = case
+    if not gens:
+        return
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _checked_corner(mp, calls)
+        checked = _run(gens, strategy, jet)
+    with pytest.MonkeyPatch.context() as mp:
+        _recounted(mp)
+        assert _run(gens, strategy, jet) == checked
+
+
+def _unit_lead_module():
+    """Rank 2 over (x, y) under ds: component 1 meets the pure power y^2,
+    then the unit lead of 1 + x; component 2 ends with a finite staircase."""
+    ring = RingContext(32003, ("x", "y"), "ds")
+    one, x, y = (ring.monomial(e) for e in ((0, 0), (1, 0), (0, 1)))
+    zero = ring.zero()
+    return [VectorElement.from_components(c) for c in (
+        (y**2, zero), (one + x, y**2), (zero, x**2 + y**3), (zero, x * y**2))]
+
+
+def _omega(k, l, degree):
+    germ = ft_germ(k, l)
+    return OmegaPresentation(germ.f, germ.g, degree).generators
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(_omega(5, 4, 2), id="ft54-omega2"),
+    pytest.param(_omega(5, 4, 3), id="ft54-omega3"),
+    pytest.param(_omega(8, 8, 2), id="ft88-omega2"),
+    pytest.param(_omega(8, 8, 3), id="ft88-omega3"),
+    pytest.param(_unit_lead_module(), id="unit-lead-module"),
+])
+def test_open_axes_on_presentations_and_a_unit_lead(gens, monkeypatch):
+    def result():
+        value, basis = local_vdim(gens)
+        stats = basis.stats
+        return (value, [g._terms for g in basis],
+                (stats.pairs, stats.discarded, stats.reductions))
+
+    calls = []
+    with monkeypatch.context() as mp:
+        _checked_corner(mp, calls)
+        checked = result()
+    # the ladder meets both an infinite and a finite staircase
+    assert set(calls) == {True, False}
+    with monkeypatch.context() as mp:
+        _recounted(mp)
+        assert result() == checked
