@@ -252,19 +252,17 @@ class OmegaPresentation:
         for h in (f, g):
             for i in range(1, rank + 1):
                 gens.append(VectorElement.unit(ring, rank, i) * h)
+        # dh ^ w for each basis (k-1)-form w, straight from the partials:
+        # against dy^dz, dz^dx, dx^dy it is h_x, h_y, h_z, and against dx,
+        # dy, dz it is the cross product of the gradient with e_i
+        zero = ring.zero()
         for h in (f, g):
-            dh = exterior_derivative(DifferentialForm.function(h))
-            for i in range(_FORM_RANK[k - 1]):
-                basis = DifferentialForm(
-                    ring,
-                    k - 1,
-                    tuple(
-                        ring.constant(1 if j == i else 0)
-                        for j in range(_FORM_RANK[k - 1])
-                    ),
-                )
-                w = wedge(dh, basis)
-                gens.append(VectorElement.from_components(w.coeffs, rank=rank))
+            hx, hy, hz = (h.partial(i) for i in range(3))
+            if k == 3:
+                forms = ((hx,), (hy,), (hz,))
+            else:
+                forms = ((zero, hz, -hy), (-hz, zero, hx), (hy, -hx, zero))
+            gens.extend(VectorElement.from_components(w, rank=rank) for w in forms)
         self.ring = ring
         self.k = k
         self.f = f

@@ -17,6 +17,13 @@ non-negative. Below the ordering fields the code carries the total degree
 and the raw exponents; module terms additionally carry the component twice
 (once where the module rule sorts it, once next to the exponents for the
 divisibility test). Exponents are capped at 2**16 per variable.
+
+Whether total degree is the top field, and in which direction, is read off
+the layout itself (``_Layout.deg_top``): +1 when the first form is the
+degree and nothing sorts above it (dp, Dp, wp(1,...,1), their modules term
+over position), -1 when it is minus the degree (ds, ls, ws(1,...,1)), and 0
+otherwise (lp, mixed orderings, other weights, every module position over
+term). Degree extremes, the ecart and the jet truncation all follow from it.
 """
 
 from dataclasses import dataclass, replace
@@ -197,6 +204,7 @@ class _Layout:
         "comp_sort_shift",
         "comp_div_shift",
         "code_one",
+        "deg_top",
         "exp_overflow_mask",
         "div_check_mask",
         "var_deltas",
@@ -264,6 +272,11 @@ class _Layout:
             else:
                 self.comp_div_shift = shift
         self.code_one = code_one
+        # +1 (-1) when the top field is the total degree (minus it), so the
+        # degree extremes of a set of codes sit at its greatest and least
+        # code; 0 when callers must scan
+        top = set(rows[0]) if fields[0] == ("key", 0) else None
+        self.deg_top = 1 if top == {1} else -1 if top == {-1} else 0
 
         mask = 0
         for s in self.exp_shifts:
@@ -308,16 +321,28 @@ class _Layout:
     def degree(self, code):
         return (code >> self.deg_shift) & self.deg_mask
 
+    def max_degree(self, codes):
+        """The largest total degree among codes, given in any order."""
+        if self.deg_top:
+            return self.degree(max(codes) if self.deg_top > 0 else min(codes))
+        shift = self.deg_shift
+        mask = self.deg_mask
+        return max((code >> shift) & mask for code in codes)
+
+    def min_degree(self, codes):
+        """The least total degree among codes, given in any order."""
+        if self.deg_top:
+            return self.degree(min(codes) if self.deg_top > 0 else max(codes))
+        shift = self.deg_shift
+        mask = self.deg_mask
+        return min((code >> shift) & mask for code in codes)
+
     def component(self, code):
         return (code >> self.comp_div_shift) & 0x1FFFF
 
     def divides(self, a, b):
         """Does monomial code a divide code b (same component for modules)?"""
         return not (b - a) & self.div_check_mask
-
-    def multiplier_delta(self, exps):
-        """Addend realizing multiplication by the given ring monomial."""
-        return self.encode(exps) - self.code_one
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +379,6 @@ class RingContext:
         self.layout = _Layout(self.n, rows, False, False)
         self._module_layout = None
         self._var_index = {name: i for i, name in enumerate(variables)}
-        if len(ordering.blocks) == 1:
-            kind = ordering.blocks[0].kind
-            if kind in (DEGLEX, DEGREVLEX):
-                self.degree_location = "first"
-            elif kind in (NEG_DEGLEX, NEG_DEGREVLEX):
-                self.degree_location = "last"
-            else:
-                self.degree_location = "scan"
-        else:
-            self.degree_location = "scan"
 
     @property
     def module_layout(self):
@@ -513,18 +528,6 @@ def _mul_term_lists(t1, t2, layout, field):
     return terms
 
 
-def _max_degree(terms, layout):
-    shift = layout.deg_shift
-    mask = layout.deg_mask
-    return max((code >> shift) & mask for code, _ in terms)
-
-
-def _min_degree(terms, layout):
-    shift = layout.deg_shift
-    mask = layout.deg_mask
-    return min((code >> shift) & mask for code, _ in terms)
-
-
 class Polynomial:
     """Sparse polynomial; terms strictly descending in the ring ordering."""
 
@@ -560,25 +563,13 @@ class Polynomial:
     def total_degree(self):
         if not self._terms:
             raise ZeroPolynomial("degree of the zero polynomial")
-        lay = self.ring.layout
-        loc = self.ring.degree_location
-        if loc == "first":
-            return lay.degree(self._terms[0][0])
-        if loc == "last":
-            return lay.degree(self._terms[-1][0])
-        return _max_degree(self._terms, lay)
+        return self.ring.layout.max_degree(code for code, _ in self._terms)
 
     def order(self):
         """Least total degree of a term (the multiplicity of the germ)."""
         if not self._terms:
             raise ZeroPolynomial("order of the zero polynomial")
-        lay = self.ring.layout
-        loc = self.ring.degree_location
-        if loc == "first":
-            return lay.degree(self._terms[-1][0])
-        if loc == "last":
-            return lay.degree(self._terms[0][0])
-        return _min_degree(self._terms, lay)
+        return self.ring.layout.min_degree(code for code, _ in self._terms)
 
     def constant_term(self):
         one = self.ring.layout.code_one
@@ -859,25 +850,14 @@ class VectorElement:
             return VectorElement(ring, self.rank, _scale(self._terms, c, ring.field))
         if other.ring != ring:
             raise RingMismatch("operands live in different rings")
+        # the polynomial's codes re-encoded in the module layout carry no
+        # component, so the product's codes keep the vector's components
         mlay = ring.module_layout
-        acc = {}
-        mul = ring.field.mul
-        add = ring.field.add
-        over = mlay.exp_overflow_mask
-        for pc, pk in other._terms:
-            delta = mlay.multiplier_delta(ring.layout.decode_exps(pc))
-            for vc, vk in self._terms:
-                code = vc + delta
-                if code & over:
-                    raise ExponentOverflow("monomial product exceeds exponent range")
-                prev = acc.get(code)
-                if prev is None:
-                    acc[code] = mul(pk, vk)
-                else:
-                    acc[code] = add(prev, mul(pk, vk))
-        terms = [(code, c) for code, c in acc.items() if c]
-        terms.sort(reverse=True)
-        return VectorElement(ring, self.rank, terms)
+        decode = ring.layout.decode_exps
+        recoded = [(mlay.encode(decode(code)), c) for code, c in other._terms]
+        return VectorElement(
+            ring, self.rank, _mul_term_lists(self._terms, recoded, mlay, ring.field)
+        )
 
     __rmul__ = __mul__
 

@@ -41,14 +41,7 @@ from .errors import (
     ZeroElement,
     ZeroPolynomial,
 )
-from .ring import (
-    NEG_DEGLEX,
-    NEG_DEGREVLEX,
-    POSITION_OVER_TERM,
-    Polynomial,
-    VectorElement,
-    _scale,
-)
+from .ring import Polynomial, VectorElement, _scale
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
@@ -187,17 +180,6 @@ class _WorkPoly:
         """The (code, numerator) terms, leading term first."""
         return sorted(self.terms.items(), reverse=True)
 
-    def max_degree(self, deg_shift, deg_mask, location):
-        """Max total degree over the remaining terms, or None if empty."""
-        terms = self.terms
-        if not terms:
-            return None
-        if location == "last":
-            return (min(terms) >> deg_shift) & deg_mask
-        if location == "first":
-            return (max(terms) >> deg_shift) & deg_mask
-        return max((code >> deg_shift) & deg_mask for code in terms)
-
 
 # ---------------------------------------------------------------------------
 # entries
@@ -218,7 +200,7 @@ class _Entry:
         "rmax",
     )
 
-    def __init__(self, terms, lay, location, seq, sugar=None, ecart_=None):
+    def __init__(self, terms, lay, seq, sugar=None, ecart_=None):
         """A monic reducer; sugar and ecart default to the terms' own."""
         lead = terms[0][0]
         self.terms = terms
@@ -226,7 +208,7 @@ class _Entry:
         self.lead_exps = lay.decode_exps(lead)
         self.comp = lay.component(lead) if lay.comp_div_shift is not None else None
         if sugar is None or ecart_ is None:
-            top = _terms_max_degree(terms, lay, location)
+            top = lay.max_degree(code for code, _ in terms)
             if sugar is None:
                 sugar = top
             if ecart_ is None:
@@ -282,16 +264,6 @@ def _scan_key(e):
     return (e.ecart, len(e.terms), e.seq)
 
 
-def _terms_max_degree(terms, lay, location):
-    if location == "last":
-        return lay.degree(terms[-1][0])
-    if location == "first":
-        return lay.degree(terms[0][0])
-    shift = lay.deg_shift
-    mask = lay.deg_mask
-    return max((code >> shift) & mask for code, _ in terms)
-
-
 def _layout_for(obj):
     if isinstance(obj, VectorElement):
         return obj.ring.module_layout
@@ -324,7 +296,7 @@ def ecart(f):
             "ecart of zero"
         )
     lay = _layout_for(f)
-    return _terms_max_degree(terms, lay, f.ring.degree_location) - lay.degree(terms[0][0])
+    return lay.max_degree(code for code, _ in terms) - lay.degree(terms[0][0])
 
 
 def spoly(f, g):
@@ -347,9 +319,8 @@ def spoly(f, g):
         if lay.component(tf[0][0]) != lay.component(tg[0][0]):
             raise ComponentMismatch("leading components differ")
     field = ring.field
-    location = ring.degree_location
-    ef = _Entry(_monic(tf, field), lay, location, 0)
-    eg = _Entry(_monic(tg, field), lay, location, 1)
+    ef = _Entry(_monic(tf, field), lay, 0)
+    eg = _Entry(_monic(tg, field), lay, 1)
     lcm_code = lay.encode(tuple(map(max, ef.lead_exps, eg.lead_exps)), ef.comp)
     s = _spoly_terms(ef, eg, lcm_code, lay, field.characteristic, _HUGE)
     return _wrap(f, ring, _over(s.descending(), s.den, s.p), rank)
@@ -387,8 +358,9 @@ def _over(terms, den, p):
 
 def _cut(lay, bound):
     """The least code of degree below bound, or None for no bound.  A finite
-    bound exists only in jet-eligible layouts, whose most significant field
-    is key_offsets[0] - degree, so degree < bound exactly when code >= cut."""
+    bound exists only in layouts with deg_top -1, whose most significant
+    field is key_offsets[0] - degree, so degree < bound exactly when
+    code >= cut."""
     if bound >= _HUGE:
         return None
     return (lay.key_offsets[0] - bound + 1) << lay.key_shifts[0]
@@ -416,8 +388,8 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
 # weak normal form
 
 
-def _weak_nf(bucket, entries, lay, field, location, mora, counter, ceiling,
-             bound, sugar, cache=None):
+def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
+             cache=None):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, sugar) with the terms as field values.
 
@@ -494,10 +466,8 @@ def _weak_nf(bucket, entries, lay, field, location, mora, counter, ceiling,
                 best = _choose(hcode, got, entries, cut, check_mask)
             else:
                 h_ecart = 0
-                rest_deg = bucket.max_degree(deg_shift, deg_mask, location)
-                hdeg = (hcode >> deg_shift) & deg_mask
-                if rest_deg is not None and rest_deg > hdeg:
-                    h_ecart = rest_deg - hdeg
+                if terms:
+                    h_ecart = max(lay.max_degree(terms) - lay.degree(hcode), 0)
                 best = None
                 for e in scan:
                     if not (hcode - e.lead) & check_mask:
@@ -511,7 +481,7 @@ def _weak_nf(bucket, entries, lay, field, location, mora, counter, ceiling,
                     # lead's, so the scale cancels
                     snap = [(hcode, field.one)]
                     snap.extend(_over(bucket.descending(), hcoeff, p))
-                    snap = _Entry(snap, lay, location, _HUGE + len(scan), sugar, h_ecart)
+                    snap = _Entry(snap, lay, _HUGE + len(scan), sugar, h_ecart)
                     bisect.insort(scan, snap, key=_scan_key)
 
             if best is None:
@@ -595,7 +565,6 @@ class _StdEngine:
         self.rank = rank
         self.lay = ring.layout if rank is None else ring.module_layout
         self.field = ring.field
-        self.location = ring.degree_location
         self.strategy = strategy
         self.mora = mora
         self.ceiling = ceiling
@@ -606,7 +575,7 @@ class _StdEngine:
         self.pair_seq = 0
         self.bound = jet if jet is not None else _HUGE
         self.cut = _cut(self.lay, self.bound)
-        self.cut_at_corner = _jet_eligible(ring, rank)
+        self.cut_at_corner = self.lay.deg_top == -1
         self.minimal = []  # the entries with minimal leads, in arrival order
         # the (component, variable) pairs with no pure-power lead yet; the
         # staircase of the leads is finite exactly when none is left
@@ -654,7 +623,7 @@ class _StdEngine:
             if len(nt) != len(e.terms):
                 e.terms = nt
                 e.rcodes = e.rden = e.rnums = e.rmax = None
-                e.ecart = _terms_max_degree(nt, lay, self.location) - lay.degree(e.lead)
+                e.ecart = lay.max_degree(code for code, _ in nt) - lay.degree(e.lead)
 
     def _truncate(self, terms):
         """The terms of degree below the bound (code at or above the cut)."""
@@ -676,7 +645,7 @@ class _StdEngine:
         lay = self.lay
         entries = self.entries
         t = len(entries)
-        entry = _Entry(terms, lay, self.location, t, sugar)
+        entry = _Entry(terms, lay, t, sugar)
         lead = entry.lead
         exps = entry.lead_exps
         comp = entry.comp
@@ -791,7 +760,6 @@ class _StdEngine:
                 self.entries,
                 lay,
                 field,
-                self.location,
                 self.mora,
                 self.stats,
                 self.ceiling,
@@ -865,15 +833,6 @@ def _uses_mora(mode, ring):
     return mode == "mora" or (mode == "auto" and not ring.is_global)
 
 
-def _jet_eligible(ring, rank):
-    """Jet truncation needs degree to dominate the (module) comparison."""
-    if len(ring.ordering.blocks) != 1:
-        return False
-    if ring.ordering.blocks[0].kind not in (NEG_DEGLEX, NEG_DEGREVLEX):
-        return False
-    return rank is None or ring.ordering.module_rule != POSITION_OVER_TERM
-
-
 def std(
     generators,
     strategy=None,
@@ -888,16 +847,17 @@ def std(
     reduction otherwise; 'buchberger' insists and raises for non-global
     orderings; 'mora' always uses tangent-cone reduction (valid anywhere).
 
-    Under a pure local degree ordering (for a module, term over position),
-    once the leads found so far span a finite staircase, terms at or above
-    its corner (the least degree whose monomials are all lead multiples) are
-    discarded on the fly; this never changes the leading module or the
-    staircase, only the tails.
+    Where the first form of the (module) ordering is minus the degree, as
+    under ds, ls or ws(1,...,1) and their modules term over position
+    (deg_top -1 in ring.py), once the leads found so far span a finite
+    staircase, terms at or above its corner (the least degree whose
+    monomials are all lead multiples) are discarded on the fly; this never
+    changes the leading module or the staircase, only the tails.
 
     jet=K computes a standard basis of the input plus the K-th power of the
     maximal ideal (every term of degree >= K is dropped throughout); the
-    leading data is exact below degree K. Only meaningful for local degree
-    orderings; dimension queries then go through jet_dimensions.
+    leading data is exact below degree K. It needs such an ordering, and
+    dimension queries then go through jet_dimensions.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -926,19 +886,17 @@ def std(
     if jet is not None:
         if not isinstance(jet, int) or jet < 1:
             raise ValueError("jet must be a positive integer")
-        if not _jet_eligible(ring, rank):
+        if _layout_for(first).deg_top != -1:
             raise ModeOrderingMismatch(
-                "jet truncation needs a single local degree ordering block"
+                "jet truncation needs an ordering whose first form is minus "
+                "the degree"
             )
 
     t0 = time.perf_counter()
     engine = _StdEngine(ring, rank, strategy, mora, ceiling, jet)
-    lay = engine.lay
-    seeds = []
-    for g in gens:
-        terms = list(g._terms)
-        seeds.append((terms, _terms_max_degree(terms, lay, engine.location)))
-    engine.run(seeds)
+    max_degree = engine.lay.max_degree
+    engine.run([(list(g._terms), max_degree(code for code, _ in g._terms))
+                for g in gens])
     kept = engine.minimal_entries()
     engine.stats.millis = int((time.perf_counter() - t0) * 1000)
     gens_out = [_wrap(first, ring, e.terms, rank) for e in kept]
@@ -951,8 +909,8 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
 
     The result is zero or has a leading term divisible by no reducer lead;
     the mode's rule picks each step's reducer (see _weak_nf), list order
-    standing for age.  Against a StandardBasis under a pure local degree
-    ordering (for a module, term over position) whose staircase is finite,
+    standing for age.  Against a StandardBasis whose (module) ordering's
+    first form is minus the degree (see std) and whose staircase is finite,
     every term at or above its corner is dropped, from f and throughout: the
     corner's power of the maximal ideal lies in the span, so the result
     still differs from f by an element of the span and is zero exactly for
@@ -962,7 +920,7 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     rank = _rank_of(f)
     bound = _HUGE
     if isinstance(reducers, StandardBasis):
-        if _jet_eligible(ring, reducers.rank):
+        if reducers.layout.deg_top == -1:
             corner = _basis_corner(reducers)
             if corner is not None and corner != INFINITE:
                 bound = corner
@@ -980,10 +938,10 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
             rank is not None and g.rank != rank
         ):
             raise ModuleRankMismatch("reducers do not match the element")
-        entries.append(_Entry(_monic(g._terms, field), lay, ring.degree_location, k))
+        entries.append(_Entry(_monic(g._terms, field), lay, k))
     counter = Stats()
     init = f._terms
-    sugar = _terms_max_degree(init, lay, ring.degree_location) if init else 0
+    sugar = lay.max_degree(code for code, _ in init) if init else 0
     cut = _cut(lay, bound)
     if cut is not None:
         init = [t for t in init if t[0] >= cut]
@@ -992,7 +950,6 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
         entries,
         lay,
         field,
-        ring.degree_location,
         mora,
         counter,
         ceiling,
@@ -1229,10 +1186,11 @@ def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
     """(vdim, basis) of the span of `generators`, under any ordering.
 
     This is the dimension entry point: it always equals vdim(std(...)).
-    Under a local degree ordering it runs jets of increasing order, from
-    FIRST_JET, each modulo the jet-th power of the maximal ideal; once the
-    top degree carries no standard monomial the count is exact and is
-    returned with its (jet-truncated) basis, which highest_corner accepts.
+    Where the first form of the (module) ordering is minus the degree (see
+    std) it runs jets of increasing order, from FIRST_JET, each modulo the
+    jet-th power of the maximal ideal; once the top degree carries no
+    standard monomial the count is exact and is returned with its
+    (jet-truncated) basis, which highest_corner accepts.
     Every other ordering, an all-zero input, or a ladder past MAX_JET gets
     one untruncated run, which decides INFINITE honestly. The returned
     basis's stats cover every run made.
@@ -1240,7 +1198,7 @@ def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
     generators = list(generators)
     gens = [g for g in generators if g]
     total = Stats()
-    if gens and _jet_eligible(gens[0].ring, _rank_of(gens[0])):
+    if gens and _layout_for(gens[0]).deg_top == -1:
         k = FIRST_JET
         while k <= MAX_JET:
             basis = std(gens, strategy, ceiling=ceiling, jet=k)

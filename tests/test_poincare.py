@@ -9,6 +9,7 @@ from germkit import poincare
 from germkit import (
     DifferentialForm,
     OmegaPresentation,
+    VectorElement,
     exactness_report,
     exterior_derivative,
     ft_germ,
@@ -198,6 +199,38 @@ def test_omega_presentation_generator_counts(ring):
     assert len(OmegaPresentation(f, g, 3).generators) == 2 * 1 + 2 * 3
     with pytest.raises(ParameterOutOfRange):
         OmegaPresentation(f, g, 1)
+
+
+def _wedge_generators(h, k):
+    """dh ^ w over the basis (k-1)-forms w, by the generic wedge."""
+    ring = h.ring
+    dh = exterior_derivative(DifferentialForm.function(h))
+    width = (1, 3, 3, 1)[k - 1]
+    out = []
+    for i in range(width):
+        w = DifferentialForm(ring, k - 1, tuple(int(j == i) for j in range(width)))
+        out.append(VectorElement.from_components(wedge(dh, w).coeffs,
+                                                 rank=(1, 3, 3, 1)[k]))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 7, 32003])
+def test_omega_generators_equal_the_wedge_route(char):
+    ring = parse_ring("ring %d (x,y,z) ds" % char)
+    rng = random.Random(SEED + char)
+    pairs = [(germ.f, germ.g) for germ in
+             (ft_germ(k, l, ring) for k, l in [(5, 4), (7, 5), (9, 9)])]
+    while len(pairs) < 12:
+        f, g = (p - p.constant_term() for p in (_rand_poly(rng, ring),
+                                                 _rand_poly(rng, ring)))
+        if f and g:
+            pairs.append((f, g))
+    for f, g in pairs:
+        for k in (2, 3):
+            pres = OmegaPresentation(f, g, k)
+            # the h * omega generators come first, one per basis k-form
+            tail = pres.generators[2 * pres.rank:]
+            assert list(tail) == _wedge_generators(f, k) + _wedge_generators(g, k)
 
 
 # ---------------------------------------------------------------------------

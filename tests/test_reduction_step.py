@@ -6,7 +6,9 @@ tail at or above a code cut survives, and exponent overflow is one test of
 the tail's per-variable maximum. These tests hold each shortcut against the
 plain formula it replaces: shift every tail code, keep the terms of degree
 below the bound, add them into a dict, and OR every shifted code against the
-overflow mask.
+overflow mask. The cut needs total degree, negated, as the top field of a
+code, which the layout's deg_top records; its degree extremes are held
+against a scan over every code.
 """
 
 import random
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from germkit import RingContext
 from germkit.errors import ExponentOverflow
 from germkit.ring import POSITION_OVER_TERM
-from germkit.stdbasis import _HUGE, _cut, _Entry, _jet_eligible, _WorkPoly
+from germkit.stdbasis import _HUGE, _cut, _Entry, _WorkPoly
 
 SEED = 20261
 
@@ -29,6 +31,7 @@ CUT_LAYOUTS = [
     (RingContext(32003, ("x", "y", "z"), "ds"), None),
     (RingContext(32003, ("x", "y", "z"), "ls"), None),
     (RingContext(32003, ("x", "y", "z"), "ds"), 2),
+    (RingContext(32003, ("x", "y", "z"), "ws(1,1,1)"), None),
 ]
 
 
@@ -54,16 +57,58 @@ def test_cut_holds_exactly_the_terms_below_the_bound(which, exps, comp, bound):
     assert (code >= _cut(lay, bound)) == (sum(exps) < bound)
 
 
+NAMES = ("x", "y", "z")
+POT_DS = RingContext(32003, NAMES, "ds", module_rule=POSITION_OVER_TERM)
+POT_DP = RingContext(32003, NAMES, "dp", module_rule=POSITION_OVER_TERM)
+
+# layouts whose top field is the total degree itself
+DEGREE_FIRST = [
+    RingContext(32003, NAMES, "dp").layout,
+    RingContext(32003, NAMES, "Dp").layout,
+    RingContext(32003, NAMES, "wp(1,1,1)").layout,
+    RingContext(32003, NAMES, "dp").module_layout,
+]
+
+# layouts with no degree at the top; a module position over term sorts the
+# component above every form
+SCANNED = [
+    RingContext(32003, NAMES, "dp(1),ds(2)").layout,
+    RingContext(32003, NAMES, "ws(2,1,1)").layout,
+    RingContext(32003, NAMES, "wp(1,2,3)").layout,
+    RingContext(32003, NAMES, "lp").layout,
+    POT_DS.module_layout,
+    POT_DP.module_layout,
+]
+
+
 def test_cut_layouts_are_exactly_the_jet_eligible_ones():
     for ring, rank in CUT_LAYOUTS:
-        assert _jet_eligible(ring, rank)
+        assert _layout(ring, rank).deg_top == -1
         assert _cut(_layout(ring, rank), _HUGE) is None
     # here degree is not the most significant field, so a cut would be wrong
-    names = ("x", "y", "z")
-    assert not _jet_eligible(RingContext(32003, names, "dp"), None)
-    assert not _jet_eligible(RingContext(32003, names, "dp(1),ds(2)"), None)
-    pot = RingContext(32003, names, "ds", module_rule=POSITION_OVER_TERM)
-    assert not _jet_eligible(pot, 2)
+    for lay in DEGREE_FIRST:
+        assert lay.deg_top == 1
+    for lay in SCANNED:
+        assert lay.deg_top == 0
+    # the scalar layouts of position-over-term rings keep degree on top
+    assert POT_DS.layout.deg_top == -1
+    assert POT_DP.layout.deg_top == 1
+
+
+@pytest.mark.parametrize(
+    "lay",
+    [_layout(ring, rank) for ring, rank in CUT_LAYOUTS] + DEGREE_FIRST + SCANNED,
+)
+def test_degree_extremes_match_a_scan(lay):
+    rng = random.Random(SEED)
+    module = lay.comp_div_shift is not None
+    for _ in range(300):
+        codes = [lay.encode(tuple(rng.randint(0, 9) for _ in range(3)),
+                            rng.randint(1, 3) if module else None)
+                 for _ in range(rng.randint(1, 8))]
+        degrees = [lay.degree(c) for c in codes]
+        assert lay.max_degree(codes) == max(degrees)
+        assert lay.min_degree(codes) == min(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +132,7 @@ def _random_entry(rng, ring, rank, p, max_exp):
             codes.add(_encode(lay, rank, exps, comp))
     codes = sorted(codes, reverse=True)
     terms = [(codes[0], 1)] + [(c, _random_coeff(rng, p)) for c in codes[1:]]
-    entry = _Entry(terms, lay, ring.degree_location, 0)
+    entry = _Entry(terms, lay, 0)
     return entry, comp
 
 
@@ -133,7 +178,7 @@ def test_fused_step_matches_the_reference_formula(p):
         lay = _layout(ring, rank)
         entry, comp = _random_entry(rng, ring, rank, p, 6)
         mult = tuple(rng.randint(0, 3) for _ in range(3))
-        delta = lay.multiplier_delta(mult)
+        delta = lay.encode(mult) - lay.code_one
         bound = rng.choice([2, 3, 5, 8, 12, _HUGE])
         h = rng.randrange(1, p) if p else rng.choice([1, 2, 3, 6, -4, 9])
         # a work polynomial that meets the shifted tail, sometimes with the
@@ -179,8 +224,8 @@ def test_overflow_test_matches_the_or_over_shifted_codes(which):
                          else rng.randint(0, 40) for _ in range(3))
             codes.add(_encode(lay, rank, exps, comp))
         codes = sorted(codes, reverse=True)
-        entry = _Entry([(c, 1) for c in codes], lay, ring.degree_location, 0)
-        delta = lay.multiplier_delta(tuple(rng.randint(0, 400) for _ in range(3)))
+        entry = _Entry([(c, 1) for c in codes], lay, 0)
+        delta = lay.encode(tuple(rng.randint(0, 400) for _ in range(3))) - lay.code_one
         overflows = any((c + delta) & lay.exp_overflow_mask for c in codes[1:])
         try:
             entry.tail(delta, None, lay, True)

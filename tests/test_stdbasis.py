@@ -36,6 +36,7 @@ from germkit.errors import (
     ResourceExhausted,
     ZeroPolynomial,
 )
+from germkit.ring import POSITION_OVER_TERM
 from germkit.stdbasis import PAIR_SELECTIONS
 
 SEED = 20259
@@ -618,3 +619,95 @@ def test_module_vdim_per_component():
     ]
     basis = std(gens)
     assert vdim(basis) == 1 + 4  # {1} in slot 1, {1, x, y, xy} in slot 2
+
+
+# ---------------------------------------------------------------------------
+# modules position over term: the component sorts above every form, so the
+# degree of a term says nothing about its place and every degree is scanned
+
+
+def _pot_ring(names=("x", "y")):
+    return RingContext(32003, names, "ds", module_rule=POSITION_OVER_TERM)
+
+
+def _vec(ring, *parts):
+    return VectorElement.from_components([parse_poly(s, ring) for s in parts])
+
+
+def test_pot_ecart_is_the_textbook_one():
+    ring = _pot_ring()
+    # the lead x*e1 has degree 1 and the term x^3*e1 degree 3
+    assert ecart(_vec(ring, "x+x^3", "y")) == 2
+    assert ecart(_vec(ring, "x", "y+y^4")) == 3
+
+
+def test_pot_std_of_a_unit_module_is_short():
+    ring = _pot_ring()
+    gens = [_vec(ring, "3517+20220*y^3", "0"),
+            _vec(ring, "19570*y+16080*x*y^3", "4138+5655*y")]
+    basis = std(gens, ceiling=1000)
+    assert vdim(basis) == 0
+    assert basis.stats.reductions <= 10
+
+
+def test_pot_std_of_a_non_isolated_module_stays_in_range():
+    ring = _pot_ring()
+    gens = [_vec(ring, "18550+7867*x^3*y^3", "13597"),
+            _vec(ring, "26863*y^3", "17068*y+15742*x^3*y^2")]
+    assert vdim(std(gens, ceiling=1000)) == INFINITE
+
+
+def test_jets_need_degree_as_the_top_field():
+    ring = _pot_ring()
+    with pytest.raises(ModeOrderingMismatch):
+        std([_vec(ring, "x", "y")], jet=8)
+    with pytest.raises(ModeOrderingMismatch):
+        std([parse_poly("x+y^2", _ring("ws(2,1)", 32003, "x,y"))], jet=8)
+    # ws with unit weights packs like ds, so its ladder runs
+    ws = _ring("ws(1,1)", 0, "x,y")
+    value, basis = local_vdim([parse_poly("x^2", ws), parse_poly("y^3", ws)])
+    assert value == 6 and basis.jet is not None
+
+
+ORACLE_SEED = 20262
+ORACLE_CEILING = 500
+
+
+def _random_module_terms(rng, n):
+    """Two to five rank-2 generators, each component a sum of up to three
+    terms of exponents at most 2 (constants included) over F_32003."""
+    return [[[(tuple(rng.randint(0, 2) for _ in range(n)), rng.randrange(1, 32003))
+              for _ in range(rng.randint(0, 3))] for _ in range(2)]
+            for _ in range(rng.randint(2, 5))]
+
+
+def _module(ring, data):
+    return [VectorElement.from_components(
+        [sum((ring.monomial(e, c) for e, c in terms), ring.zero()) for terms in comps])
+        for comps in data]
+
+
+def _vdim_within_ceiling(gens):
+    try:
+        value, _ = local_vdim(gens, ceiling=ORACLE_CEILING)
+    except ResourceExhausted:
+        return None
+    return value
+
+
+def test_pot_vdim_equals_top_vdim_on_random_modules():
+    # term over position runs the jet ladder, position over term one
+    # untruncated tangent-cone run with other leads; the quotients agree
+    rng = random.Random(ORACLE_SEED)
+    checked = finite = 0
+    for _ in range(200):
+        names = ("x", "y", "z")[: rng.choice((2, 3))]
+        data = _random_module_terms(rng, len(names))
+        top = _vdim_within_ceiling(_module(RingContext(32003, names, "ds"), data))
+        pot = _vdim_within_ceiling(_module(_pot_ring(names), data))
+        if top is None or pot is None:
+            continue
+        assert top == pot, data
+        checked += 1
+        finite += top != INFINITE
+    assert checked >= 100 and finite >= 25, (checked, finite)
