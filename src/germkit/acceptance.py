@@ -120,24 +120,30 @@ def _monomials_below(n, cap):
 
 
 def _oracle_vdim(gens, jet, p):
-    """dim of R/(ideal + m^jet) by dense linear algebra over F_p.
+    """dim of R^r/(M + m^jet R^r) by dense linear algebra over F_p, for an
+    ideal M (r = 1) or a submodule of rank r.
 
-    Every element of the quotient is a combination of monomials of degree
-    below the jet, and the ideal contributes the rows m*g for multipliers
-    m of degree at most the jet; anything further lands inside m^jet.
+    Every element of the quotient is a combination of monomials (times basis
+    vectors) of degree below the jet, and M contributes the rows m*g for
+    multipliers m of degree at most the jet; anything further lands inside
+    m^jet.
     """
     ring = gens[0].ring
-    cols = {m: i for i, m in enumerate(_monomials_below(ring.n, jet))}
+    rank = getattr(gens[0], "rank", None)
+    below = _monomials_below(ring.n, jet)
+    cols = {key: i for i, key in enumerate(
+        (m, k) for k in (range(1, rank + 1) if rank else (None,)) for m in below)}
     mults = _monomials_below(ring.n, jet + 1)
     rows = []
     for g in gens:
+        terms = g.terms() if rank else [(c, e, None) for c, e in g.terms()]
         for m in mults:
-            q = ring.monomial(m) * g
             row = [0] * len(cols)
             hit = False
-            for c, e in q.terms():
-                if sum(e) < jet:
-                    row[cols[e]] = int(c)
+            for c, e, k in terms:
+                s = tuple(a + b for a, b in zip(e, m))
+                if sum(s) < jet:
+                    row[cols[s, k]] = int(c)
                     hit = True
             if hit:
                 rows.append(row)

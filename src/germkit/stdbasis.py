@@ -573,6 +573,7 @@ class _StdEngine:
         self.pairs = {}  # (i, j) -> lcm code
         self.heap = []
         self.pair_seq = 0
+        self.product_applies = ring.is_global
         self.bound = jet if jet is not None else _HUGE
         self.cut = _cut(self.lay, self.bound)
         self.cut_at_corner = self.lay.deg_top == -1
@@ -581,37 +582,50 @@ class _StdEngine:
         # staircase of the leads is finite exactly when none is left
         comps = (0,) if rank is None else range(1, rank + 1)
         self.open_axes = {(c, v) for c in comps for v in range(ring.n)}
+        # standard monomials of the minimal leads per degree 0..bound-1,
+        # summed over components; None while the staircase is infinite
+        self.counts = None
         # lead code -> the reducer _weak_nf chose for it (see there); valid
         # while the bound, and with it every entry's tail and ecart, stands
         self.reducers = {}
 
     # -- truncation bookkeeping -----------------------------------------
 
-    def _tighten_corner(self):
-        """Shrink the truncation bound to the corner of the current leads.
+    def _tighten_corner(self, entry, old):
+        """Shrink the truncation bound to the corner of the current leads,
+        now that `entry` has joined the minimal leads `old`.
 
         The leads found so far generate a monomial submodule of the leading
         module, so every monomial of degree at or above its corner is a lead
         multiple and cutting there loses nothing below the jet.  An infinite
         staircase has a standard monomial in every degree, so it has no
         corner: while some component lacks a pure power of some variable
-        (open_axes, kept by insert) this returns at once.  Only a finite
-        staircase is built and counted; counts up to a cap below its top
-        prove the corner only when their top slot is empty.
+        (open_axes, kept by insert) this returns at once.  The run counts
+        the staircase itself, into `counts` (degrees below the bound): once,
+        from the minimal leads, when the last axis closes (_count_leads),
+        and after that by subtraction, since the standard monomials a new
+        minimal lead m removes are m times those of the colon ideal (old
+        leads of m's component : m).  Counts up to a cap below the top of
+        the staircase prove the corner only when their top slot is empty;
+        they are cut at the corner when the bound moves there.
         """
         if self.open_axes:
             return
-        st = Staircase(
-            self.ring.n, self.rank, [(e.lead_exps, e.comp or 0) for e in self.minimal]
-        )
-        top = st._top_bound()
-        cap = min(self.bound - 1, top)
-        counts = st.counts_by_degree(cap)
-        if cap < top and counts[-1]:
-            return
+        counts = self.counts
+        if counts is None:
+            counts = self.counts = self._count_leads()
+        else:
+            m = entry.lead_exps
+            d = sum(m)
+            colon = [tuple([a - b if a > b else 0 for a, b in zip(e.lead_exps, m)])
+                     for e in old if e.comp == entry.comp]
+            lost = _degree_counts(colon, self.ring.n, len(counts) - 1 - d)
+            for j, v in enumerate(lost, d):
+                counts[j] -= v
         corner = _corner(counts)
         if corner == self.bound:
             return
+        del counts[corner:]
         self.bound = corner
         self.cut = cut = _cut(self.lay, corner)
         self.reducers.clear()
@@ -624,6 +638,26 @@ class _StdEngine:
                 e.terms = nt
                 e.rcodes = e.rden = e.rnums = e.rmax = None
                 e.ecart = lay.max_degree(code for code, _ in nt) - lay.degree(e.lead)
+
+    def _count_leads(self):
+        """The per-degree standard-monomial counts of the minimal leads'
+        finite staircase, up to the bound or up to the staircase's top
+        degree where that is lower: the largest sum of a component's pure
+        powers minus n, over the components without a unit lead."""
+        n = self.ring.n
+        by_comp = {}
+        for e in self.minimal:
+            by_comp.setdefault(e.comp, []).append(e.lead_exps)
+        # a component's minimal leads hold one pure power of each variable,
+        # or they are the unit alone
+        top = max((sum(sum(g) for g in gens if sum(g) == max(g)) - n
+                   for gens in by_comp.values() if any(gens[0])), default=-1)
+        cap = min(self.bound - 1, top)
+        counts = [0] * (cap + 1)
+        for gens in by_comp.values():
+            for j, v in enumerate(_degree_counts(gens, n, cap)):
+                counts[j] += v
+        return counts
 
     def _truncate(self, terms):
         """The terms of degree below the bound (code at or above the cut)."""
@@ -667,11 +701,11 @@ class _StdEngine:
         by_lcm = {}
         for i in new:
             by_lcm.setdefault(lcms[i], []).append(i)
-        product_applies = self.ring.is_global
+        check = lay.div_check_mask
         survivors = []
         for lcm_code, members in sorted(by_lcm.items()):
-            chained = any(lj != lcm_code and lay.divides(lj, lcm_code) for lj in by_lcm)
-            if chained or product_applies and any(
+            chained = any(lj != lcm_code and not (lcm_code - lj) & check for lj in by_lcm)
+            if chained or self.product_applies and any(
                 lcm_code == entries[i].lead + lead - lay.code_one for i in members
             ):
                 self.stats.discarded += len(members)
@@ -684,7 +718,7 @@ class _StdEngine:
         dead = [
             (i, j)
             for (i, j), lcm_code in self.pairs.items()
-            if lay.divides(lead, lcm_code)
+            if not (lcm_code - lead) & check
             and lcms[i] != lcm_code
             and lcms[j] != lcm_code
         ]
@@ -694,18 +728,20 @@ class _StdEngine:
 
         entries.append(entry)
         # a new lead that no minimal lead divides is minimal itself, and the
-        # leads it divides stop being so
-        if not any(lay.divides(e.lead, lead) for e in self.minimal):
-            self.minimal = [e for e in self.minimal if not lay.divides(lead, e.lead)]
+        # leads it divides stop being so; only a new minimal lead can close
+        # an axis or move the corner
+        old = self.minimal
+        if all((lead - e.lead) & check for e in old):
+            self.minimal = [e for e in old if (e.lead - lead) & check]
             self.minimal.append(entry)
-        if self.cut_at_corner:
-            axes = [v for v, a in enumerate(exps) if a]
-            c = comp or 0
-            if not axes:  # a unit lead: the component's staircase is empty
-                self.open_axes = {k for k in self.open_axes if k[0] != c}
-            elif len(axes) == 1:
-                self.open_axes.discard((c, axes[0]))
-            self._tighten_corner()
+            if self.cut_at_corner:
+                axes = [v for v, a in enumerate(exps) if a]
+                c = comp or 0
+                if not axes:  # a unit lead: the component's staircase is empty
+                    self.open_axes = {k for k in self.open_axes if k[0] != c}
+                elif len(axes) == 1:
+                    self.open_axes.discard((c, axes[0]))
+                self._tighten_corner(entry, old)
         lay_deg = lay.degree
         for i in survivors:
             lcm_code = lcms[i]
@@ -784,9 +820,18 @@ class StandardBasis:
     the maximal ideal; leading terms are exact below degree `jet` only, and
     dimension queries go through jet_dimensions (highest_corner accepts the
     basis once its counts certify).
+
+    `counts` are the per-degree standard-monomial counts that the run kept
+    of its finite staircase (see _StdEngine._tighten_corner), from degree 0
+    up to the jet or, without one, to the corner; every later degree below
+    the jet counts zero.  They are None where the run kept none: for global
+    orderings and for an infinite staircase.  vdim, highest_corner,
+    jet_dimensions and normal_form read them; only kbase, and the queries
+    on a basis without counts, build the Staircase.
     """
 
-    def __init__(self, ring, rank, generators, stats, mode, strategy, jet=None):
+    def __init__(self, ring, rank, generators, stats, mode, strategy, jet=None,
+                 counts=None):
         self.ring = ring
         self.rank = rank
         self.generators = tuple(generators)
@@ -794,6 +839,7 @@ class StandardBasis:
         self.mode = mode
         self.strategy = strategy
         self.jet = jet
+        self.counts = counts
         self._staircase = None
 
     def __iter__(self):
@@ -901,7 +947,8 @@ def std(
     engine.stats.millis = int((time.perf_counter() - t0) * 1000)
     gens_out = [_wrap(first, ring, e.terms, rank) for e in kept]
     mode_used = "mora" if mora else "buchberger"
-    return StandardBasis(ring, rank, gens_out, engine.stats, mode_used, strategy, jet)
+    return StandardBasis(ring, rank, gens_out, engine.stats, mode_used, strategy, jet,
+                         engine.counts)
 
 
 def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
@@ -976,9 +1023,10 @@ class Staircase:
     """Monomial data of a leading module: minimal generators per component.
 
     Every query slices a component's monomial ideal by the first exponent
-    (see _runs). Dimension, corner and jet queries read the per-degree
-    counts of counts_by_degree; only std_exponents, which kbase needs,
-    lists monomials.
+    (see _runs). Dimension, corner and jet queries on a basis whose run
+    kept no counts (StandardBasis.counts) read the per-degree counts of
+    counts_by_degree; only std_exponents, which kbase needs, lists
+    monomials.
     """
 
     def __init__(self, n, rank, lead_exponents):
@@ -1081,13 +1129,15 @@ def _runs(gens, cap):
 
 
 def _degree_counts(gens, n, cap):
-    """Standard monomials of the ideal of `gens` in n variables, per degree
-    0..cap. A run's slice is counted once; shifted by every a in [lo, hi)
-    it adds c[d-hi+1] + ... + c[d-lo] at degree d, a running window sum."""
+    """Standard monomials of the ideal of `gens` in n >= 1 variables, per
+    degree 0..cap. A run's slice is counted once; shifted by every a in
+    [lo, hi) it adds c[d-hi+1] + ... + c[d-lo] at degree d, a running window
+    sum. In one variable the least power generates, and every lower power
+    is standard."""
+    if n == 1:
+        top = min(min((g[0] for g in gens), default=cap + 1), cap + 1)
+        return [1] * top + [0] * (cap + 1 - top)
     counts = [0] * (cap + 1)
-    if n == 0:
-        counts[0] = 1  # _runs never passes the unit ideal down
-        return counts
     for lo, hi, rest in _runs(gens, cap):
         c = _degree_counts(rest, n - 1, cap - lo)
         width = hi - lo
@@ -1122,6 +1172,8 @@ def vdim(basis):
     """Dimension of the quotient by the leading module; INFINITE if not finite."""
     if basis.jet is not None:
         raise ValueError("basis is jet-truncated; use jet_dimensions")
+    if basis.counts is not None:
+        return sum(basis.counts)
     st = basis.staircase()
     return sum(st.counts_by_degree()) if st.is_finite() else INFINITE
 
@@ -1164,6 +1216,8 @@ def _basis_corner(basis):
     if basis.jet is not None:
         counts, certified = jet_dimensions(basis)
         return _corner(counts) if certified else None
+    if basis.counts is not None:
+        return _corner(basis.counts)
     st = basis.staircase()
     return _corner(st.counts_by_degree()) if st.is_finite() else INFINITE
 
@@ -1174,11 +1228,16 @@ def jet_dimensions(basis):
     Returns (counts, certified) where counts[d] is the number of standard
     monomials of degree d for 0 <= d < jet. Standard-monomial degrees of any
     submodule form a gap-free interval, so a zero in the top slot certifies
-    that the counts are complete: their sum is the true vdim.
+    that the counts are complete: their sum is the true vdim.  The counts
+    are the ones the run kept (StandardBasis.counts); only a basis without
+    them has its staircase counted here.
     """
     if basis.jet is None:
         raise ValueError("basis was not jet-truncated")
-    counts = basis.staircase().counts_by_degree(basis.jet - 1)
+    if basis.counts is None:
+        counts = basis.staircase().counts_by_degree(basis.jet - 1)
+    else:
+        counts = basis.counts + [0] * (basis.jet - len(basis.counts))
     return counts, counts[-1] == 0
 
 
@@ -1209,12 +1268,12 @@ def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
                 return sum(counts), basis
             # the leads below the jet are leads of the input, so the corner
             # of the staircase they span bounds the true corner, and a jet
-            # one past it certifies
-            st = basis.staircase()
-            if st.is_finite():
-                k = min(_corner(st.counts_by_degree()) + 1, 2 * k)
-            else:
+            # one past it certifies; a run that kept no counts saw an
+            # infinite staircase
+            if basis.counts is None:
                 k = 2 * k
+            else:
+                k = min(_corner(basis.staircase().counts_by_degree()) + 1, 2 * k)
     basis = std(generators, strategy, ceiling=ceiling)
     total.add(basis.stats)
     basis.stats = total

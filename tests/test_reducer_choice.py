@@ -7,10 +7,13 @@ remembers each lead code's choice and later tests only the entries that
 arrived since. These tests hold the choice against a brute-force minimum,
 a cached run against one whose cache never stores anything, and local_vdim
 against the dense linear-algebra oracle. The corner tightening skips the
-staircase while some component lacks a pure power of some variable; the
-last tests hold that set against the staircase at every call, and a run
-against one that builds and asks the staircase every time.
+staircase while some component lacks a pure power of some variable, and
+counts the staircase once and then by subtraction; the last tests hold that
+set against the staircase at every call, and a run against one that builds,
+asks and counts the staircase every time.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +21,18 @@ from hypothesis import strategies as st
 
 import germkit.stdbasis as sb
 from germkit import (
+    INFINITE,
+    HypersurfaceGerm,
     OmegaPresentation,
     RingContext,
     Strategy,
     VectorElement,
     ft_germ,
     local_vdim,
+    milnor,
     std,
+    tjurina,
+    zariski_family,
 )
 from germkit.acceptance import _oracle_vdim
 from germkit.errors import ResourceExhausted
@@ -173,28 +181,35 @@ def _checked_corner(monkeypatch, calls):
     staircase of the current leads is infinite."""
     tighten = sb._StdEngine._tighten_corner
 
-    def checked(self):
+    def checked(self, entry, old):
         assert bool(self.open_axes) == (not _staircase(self).is_finite())
         calls.append(bool(self.open_axes))
-        tighten(self)
+        tighten(self, entry, old)
 
     monkeypatch.setattr(sb._StdEngine, "_tighten_corner", checked)
 
 
 def _recounted(monkeypatch):
     """Every corner call builds the staircase and asks it whether it is
-    finite, in place of the open axes."""
+    finite, in place of the open axes, and counts it afresh below the
+    bound, in place of the counts the engine carries."""
     tighten = sb._StdEngine._tighten_corner
 
-    def recounted(self):
+    def recounted(self, entry, old):
         kept = self.open_axes
         self.open_axes = set() if _staircase(self).is_finite() else {None}
+        self.counts = None
         try:
-            tighten(self)
+            tighten(self, entry, old)
         finally:
             self.open_axes = kept
 
+    def staircase_counts(self):
+        st = _staircase(self)
+        return st.counts_by_degree(min(self.bound - 1, st._top_bound()))
+
     monkeypatch.setattr(sb._StdEngine, "_tighten_corner", recounted)
+    monkeypatch.setattr(sb._StdEngine, "_count_leads", staircase_counts)
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -250,3 +265,152 @@ def test_open_axes_on_presentations_and_a_unit_lead(gens, monkeypatch):
     with monkeypatch.context() as mp:
         _recounted(mp)
         assert result() == checked
+
+
+# ---------------------------------------------------------------------------
+# the staircase counts the engine carries
+
+COUNTS_SEED = 20263
+
+
+def _random_counts_input(rng):
+    """An ideal or a rank-2/3 term-over-position module in 2 or 3 variables
+    under ds, ls or ws(1,...,1), over F_32003, F_101 or Q, with a jet from 4
+    to 16; half the draws carry a pure power of every variable in every
+    component, so that their staircases are finite."""
+    char = rng.choice((32003, 101, 0))
+    n = rng.choice((2, 3))
+    ordering = rng.choice(("ds", "ls", "ws(%s)" % ",".join("1" * n)))
+    ring = RingContext(char, ("x", "y", "z")[:n], ordering)
+    rank = rng.choice((None, 2, 3))
+    coeffs = range(1, min(char or 10, 32003))
+
+    def poly(max_deg, lowest=1):
+        f = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * n
+            for _ in range(rng.randint(lowest, max_deg)):
+                e[rng.randrange(n)] += 1
+            f = f + ring.monomial(tuple(e), rng.choice(coeffs))
+        return f
+
+    comps = (None,) if rank is None else range(rank)
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        parts = [poly(4) for _ in comps]
+        gens.append(parts[0] if rank is None else VectorElement.from_components(parts))
+    if rng.random() < 0.5:
+        for k in comps:
+            for v in range(n):
+                a = rng.randint(1, 5)
+                e = tuple(a if w == v else 0 for w in range(n))
+                f = ring.monomial(e) + poly(a + 2, a + 1)
+                if rank is not None:
+                    f = VectorElement.from_components(
+                        [f if j == k else ring.zero() for j in comps])
+                gens.append(f)
+    return [g for g in gens if g], rng.randint(4, 16)
+
+
+def _checked_counts(monkeypatch, seen):
+    """After every insert the counts the engine carries equal a fresh count
+    of the staircase of its minimal leads below the bound; the engine
+    carries none exactly while that staircase is infinite.  `seen` collects
+    (counted, subtracted, tightened) per insert: whether the insert counted
+    the staircase, shrank counts it had, and moved the bound."""
+    insert = sb._StdEngine.insert
+
+    def checked(self, terms, sugar):
+        before = None if self.counts is None else list(self.counts)
+        bound = self.bound
+        insert(self, terms, sugar)
+        if not self.cut_at_corner:
+            return
+        st = _staircase(self)
+        if self.counts is None:
+            assert not st.is_finite()
+            return
+        assert len(self.counts) == self.bound
+        assert self.counts == st.counts_by_degree(self.bound - 1)
+        seen.append((before is None,
+                     before is not None and self.counts != before[:self.bound],
+                     self.bound < bound))
+
+    monkeypatch.setattr(sb._StdEngine, "insert", checked)
+
+
+def _assert_basis_counts(basis):
+    """The counts a basis carries, and every query that reads them, agree
+    with a fresh count of its staircase."""
+    st = sb.Staircase(basis.ring.n, basis.rank, basis.leading_exponents())
+    if basis.counts is None:
+        assert not st.is_finite()
+    if basis.jet is not None:
+        assert sb.jet_dimensions(basis) == (
+            lambda c: (c, c[-1] == 0))(st.counts_by_degree(basis.jet - 1))
+        return
+    finite = st.is_finite()
+    if basis.counts is not None:
+        # up to the corner, past which the staircase has no monomial
+        full = st.counts_by_degree()
+        assert basis.counts == full[:sb._corner(full)] and not any(
+            full[len(basis.counts):])
+    assert sb.vdim(basis) == (sum(st.counts_by_degree()) if finite else INFINITE)
+    corner = sb._corner(st.counts_by_degree()) if finite else INFINITE
+    assert sb._basis_corner(basis) == corner
+    if basis.rank is None:
+        assert sb.highest_corner(basis) == corner
+
+
+def test_carried_counts_equal_a_fresh_count():
+    rng = random.Random(COUNTS_SEED)
+    inputs = [_random_counts_input(rng) for _ in range(240)]
+    inputs.append((_unit_lead_module(), 6))
+    # x^2, y^3 under a jet of 16: the bound tightens to the corner, 4
+    ring = RingContext(32003, ("x", "y"), "ds")
+    inputs.append(([ring.monomial((2, 0)), ring.monomial((0, 3))], 16))
+    seen = []
+    untruncated = 0
+    with pytest.MonkeyPatch.context() as mp:
+        _checked_counts(mp, seen)
+        for gens, jet in inputs:
+            if not gens:
+                continue
+            _assert_basis_counts(std(gens, jet=jet))
+            if gens[0].ring.characteristic:
+                try:
+                    basis = std(gens, ceiling=2000)
+                except ResourceExhausted:
+                    continue
+                _assert_basis_counts(basis)
+                untruncated += 1
+    counted, subtracted, tightened = map(sum, zip(*seen))
+    assert untruncated >= 120, untruncated
+    assert counted >= 180 and subtracted >= 150 and tightened >= 250, (
+        counted, subtracted, tightened)
+
+
+def _staircase_calls(monkeypatch, calls):
+    counts_by_degree = sb.Staircase.counts_by_degree
+
+    def counted(self, *args):
+        calls.append(args)
+        return counts_by_degree(self, *args)
+
+    monkeypatch.setattr(sb.Staircase, "counts_by_degree", counted)
+
+
+@pytest.mark.parametrize("run, want", [
+    pytest.param(lambda: tjurina(ft_germ(10, 8)), 0, id="ft108-tjurina"),
+    pytest.param(lambda: local_vdim(_omega(10, 8, 2)), 0, id="ft108-omega2"),
+    pytest.param(lambda: milnor(HypersurfaceGerm(zariski_family(
+        16, 12, 4, 1, ring=RingContext(32003, ("x", "y", "z"), "ds")))), 1,
+        id="zariski16-12-4-t1-milnor"),
+])
+def test_certifying_rungs_count_no_staircase(run, want, monkeypatch):
+    # a certifying rung reads the counts its run kept; the Zariski ladder
+    # counts a staircase once, for the next jet after its failed jet-32 rung
+    calls = []
+    _staircase_calls(monkeypatch, calls)
+    run()
+    assert len(calls) == want, calls

@@ -36,8 +36,9 @@ from germkit.errors import (
     ResourceExhausted,
     ZeroPolynomial,
 )
+from germkit.acceptance import _oracle_vdim
 from germkit.ring import POSITION_OVER_TERM
-from germkit.stdbasis import PAIR_SELECTIONS
+from germkit.stdbasis import PAIR_SELECTIONS, _basis_corner
 
 SEED = 20259
 
@@ -711,3 +712,26 @@ def test_pot_vdim_equals_top_vdim_on_random_modules():
         checked += 1
         finite += top != INFINITE
     assert checked >= 100 and finite >= 25, (checked, finite)
+
+
+def test_local_vdim_of_random_modules_matches_the_dense_oracle():
+    # the carried staircase counts change per component by colon ideals, so
+    # rank-2 term-over-position modules check them against linear algebra;
+    # the corner's power of the maximal ideal times the free module lies in
+    # the span, so the oracle's jet one past it sees the whole quotient
+    rng = random.Random(ORACLE_SEED + 1)
+    checked = 0
+    for _ in range(300):
+        names = ("x", "y", "z")[: rng.choice((2, 3))]
+        ring = RingContext(32003, names, "ds")
+        gens = [g for g in _module(ring, _random_module_terms(rng, len(names))) if g]
+        try:
+            value, basis = local_vdim(gens, ceiling=ORACLE_CEILING)
+        except ResourceExhausted:
+            continue
+        if value == INFINITE:
+            continue
+        corner = _basis_corner(basis)
+        assert value == _oracle_vdim(gens, corner + 1, 32003), [str(g) for g in gens]
+        checked += 1
+    assert checked >= 45, checked
