@@ -1,8 +1,8 @@
 """Text front end: ring declarations, polynomial expressions, job files.
 
 Grammar for expressions (no implicit multiplication, ``^`` takes a literal
-non-negative integer, unary minus applies to the whole factor so ``-x^2``
-means ``-(x^2)``):
+non-negative integer below 2^16, unary minus applies to the whole factor so
+``-x^2`` means ``-(x^2)``):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -20,8 +20,9 @@ covers the last variable.
 
 from fractions import Fraction
 
-from .errors import ParseError, UnknownOrderingToken
+from .errors import ExponentOverflow, ParseError, UnknownOrderingToken
 from .ring import (
+    _EXP_LIMIT,
     Block,
     OrderingSpec,
     RingContext,
@@ -169,6 +170,10 @@ def _parse_factor(p, ring):
     value = _parse_atom(p, ring)
     if p.accept("^"):
         e = p.expect("nat", "a non-negative integer exponent")
+        if e.value >= _EXP_LIMIT:
+            # refused before any arithmetic: a power's cost grows with it
+            raise ExponentOverflow("exponent %d out of range [0, 2^16) "
+                                   "(line %d, column %d)" % (e.value, e.line, e.col))
         return value ** e.value
     return value
 

@@ -190,6 +190,7 @@ class _Entry:
         "terms",
         "lead",
         "lead_exps",
+        "deg",
         "comp",
         "ecart",
         "sugar",
@@ -206,13 +207,17 @@ class _Entry:
         self.terms = terms
         self.lead = lead
         self.lead_exps = lay.decode_exps(lead)
+        self.deg = lay.degree(lead)
         self.comp = lay.component(lead) if lay.comp_div_shift is not None else None
         if sugar is None or ecart_ is None:
-            top = lay.max_degree(code for code, _ in terms)
+            # the terms descend, so where the top field is minus the degree
+            # the last one has the largest
+            top = (lay.degree(terms[-1][0]) if lay.deg_top < 0
+                   else lay.max_degree(code for code, _ in terms))
             if sugar is None:
                 sugar = top
             if ecart_ is None:
-                ecart_ = top - lay.degree(lead)
+                ecart_ = top - self.deg
         self.ecart = ecart_
         self.sugar = sugar
         self.seq = seq
@@ -322,7 +327,7 @@ def spoly(f, g):
     ef = _Entry(_monic(tf, field), lay, 0)
     eg = _Entry(_monic(tg, field), lay, 1)
     lcm_code = lay.encode(tuple(map(max, ef.lead_exps, eg.lead_exps)), ef.comp)
-    s = _spoly_terms(ef, eg, lcm_code, lay, field.characteristic, _HUGE)
+    s = _spoly_terms(ef, eg, lcm_code, lay, field.characteristic, None, True)
     return _wrap(f, ring, _over(s.descending(), s.den, s.p), rank)
 
 
@@ -366,13 +371,11 @@ def _cut(lay, bound):
     return (lay.key_offsets[0] - bound + 1) << lay.key_shifts[0]
 
 
-def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
+def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check):
     """S-polynomial of two monic entries at the lcm code of their leads,
-    truncated below bound, as a _WorkPoly; the leads cancel, so only tails
-    are shifted. Codes are affine in the exponents, so lcm_code - lead is
-    the shift."""
-    cut = _cut(lay, bound)
-    check = bound > 4096
+    truncated at the code cut (see _Entry.tail for it and check), as a
+    _WorkPoly; the leads cancel, so only tails are shifted. Codes are affine
+    in the exponents, so lcm_code - lead is the shift."""
     di = lcm_code - ei.lead
     dj = lcm_code - ej.lead
     ci, li, ni = ei.tail(di, cut, lay, check)
@@ -389,7 +392,7 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, bound):
 
 
 def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
-             cache=None):
+             cache=None, ranks=None):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, sugar) with the terms as field values.
 
@@ -414,19 +417,23 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
     - Under a degree bound, the divisor whose shifted tail keeps the fewest
       terms below the bound, ties going to the older entry.  Every divisor
       is sound there, since strict descent through the finitely many
-      monomials below the bound terminates.
+      monomials below the bound terminates.  It is the first divisor in
+      the ranking that `ranks` holds for the lead's degree (_Ranks, built
+      here over `entries` when the caller passes none), so a step stops
+      there instead of testing every entry.
     - Otherwise (Buchberger), the oldest divisor.
 
     Outside tangent-cone mode a dict `cache` may remember each lead code's
     choice as (entry, delta, index of its first tail code at or above the
-    cut, number of entries seen): a later step on that lead tests only the
-    entries that arrived since, and without a cut none of them can displace
-    the oldest divisor.  The owner clears it whenever the bound moves, which
+    cut, number of entries seen).  Without a cut it stays valid, since no
+    later entry displaces the oldest divisor; under a cut it serves while
+    no entry has arrived since, and a stale one is ranked again.  The owner
+    clears the cache and replaces `ranks` whenever the bound moves, which
     is when entry tails and ecarts change.
     """
     extend = mora and bound >= _HUGE
     p = field.characteristic
-    cut = _cut(lay, bound)
+    cut = ranks.cut if ranks is not None else _cut(lay, bound)
     check = bound > 4096
     terms = bucket.terms
     heap = bucket.heap
@@ -437,6 +444,12 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
     if extend:
         cache = None  # snapshots are local to this call
         scan = sorted(entries, key=_scan_key)
+    elif cut is not None:
+        if ranks is None:
+            ranks = _Ranks(entries, lay, cut, max((e.ecart for e in entries), default=0))
+        lists = ranks.lists
+        top = ranks.top
+        shift = ranks.shift
     get = cache.get if cache is not None else {}.get
     seen_all = len(entries)
     reds = 0
@@ -462,8 +475,20 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
                 rc = rc[lo:]
                 rn = rn[lo:]
         else:
-            if not extend:
-                best = _choose(hcode, got, entries, cut, check_mask)
+            if ranks is not None:
+                r = (hcode - cut) >> shift
+                if r > top:
+                    r = top
+                ranked = lists.get(r)
+                if ranked is None:
+                    ranked = ranks.build(r)
+                best = _choose(hcode, ranked, check_mask)
+            elif not extend:
+                best = None
+                for e in entries:
+                    if not (hcode - e.lead) & check_mask:
+                        best = e
+                        break
             else:
                 h_ecart = 0
                 if terms:
@@ -517,42 +542,69 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
             )
 
 
-def _choose(hcode, got, entries, cut, check_mask):
-    """The reducer of the lead hcode outside tangent-cone mode, or None.
+def _choose(hcode, ranked, check_mask):
+    """The reducer of the lead hcode under a cut, or None: the first divisor
+    in `ranked`, the (kept, seq, entry) ranking for hcode's degree (see
+    _Ranks)."""
+    for _, _, e in ranked:
+        if not (hcode - e.lead) & check_mask:
+            return e
+    return None
 
-    Without a cut the oldest divisor wins.  Under a cut the divisor whose
-    shifted tail keeps the fewest terms at or above the cut wins, ties going
-    to the older entry; with a cached choice `got` only the entries that
-    arrived since it was made are candidates, and one of them must keep
-    strictly fewer terms to displace it.
+
+class _Ranks:
+    """The entries that can divide a lead under a cut, ranked per degree.
+
+    Shifted onto a lead h of degree below the bound, a tail code c of an
+    entry with lead l stays at or above the cut exactly when
+    deg c - deg l <= r, where r = bound - 1 - deg h.  So the number of tail
+    terms a divisor keeps depends on h only through r, and lists[r], the
+    entries of lead degree at most deg h sorted by (terms kept at r, seq),
+    has as its first divisor of h the one that keeps the fewest terms, ties
+    going to the older entry.  Past an entry's ecart its whole tail
+    survives, so r is clamped at `top`, the largest ecart.  A list is built
+    the first time its r is asked for, and add puts a new entry into every
+    list held; the owner makes a new _Ranks whenever the bound moves, which
+    is when tails and ecarts change.
     """
-    if cut is None:
-        for e in entries:
-            if not (hcode - e.lead) & check_mask:
-                return e
-        return None
-    if got is None:
-        best = None
-        fewest = _HUGE
-    else:
-        best, _, lo, seen = got
-        fewest = len(best.rcodes) - lo
-        entries = entries[seen:]
-    base = cut - hcode
-    bisect_left = bisect.bisect_left
-    for e in entries:
-        if (hcode - e.lead) & check_mask:
-            continue
-        rc = e.rcodes
-        if rc is None:
-            rc = e.codes()
-        n = len(rc) - bisect_left(rc, base + e.lead)
-        if n < fewest:
-            best = e
-            fewest = n
-            if not n:
-                break  # no later entry can beat it
-    return best
+
+    __slots__ = ("entries", "cut", "shift", "top", "lists")
+
+    def __init__(self, entries, lay, cut, top):
+        self.entries = entries  # the owner's list, which add follows
+        self.cut = cut
+        self.shift = lay.key_shifts[0]  # above it: minus the degree
+        self.top = top  # at least the largest ecart of a lead above the cut
+        self.lists = {}
+
+    def build(self, r):
+        # leads of degree at most bound - 1 - r: codes at or above low
+        s = self.shift
+        low = self.cut + (r << s)
+        ranked = self.lists[r] = sorted([
+            (len(e.terms) - 1, e.seq, e) if r >= e.ecart else _kept(e, r, s)
+            for e in self.entries if e.lead >= low])
+        return ranked
+
+    def add(self, e):
+        if self.lists:
+            s = self.shift
+            whole = len(e.terms) - 1, e.seq, e
+            last = (e.lead - self.cut) >> s  # the largest r e can serve
+            for r, ranked in self.lists.items():
+                if r <= last:
+                    bisect.insort(ranked, whole if r >= e.ecart else _kept(e, r, s))
+        if e.ecart > self.top:
+            self.top = e.ecart
+
+
+def _kept(e, r, s):
+    """(tail terms of e kept at r, seq, e) for r below e's ecart; the codes
+    of degree at most deg lead + r are those at or above the cut below."""
+    rc = e.rcodes
+    if rc is None:
+        rc = e.codes()
+    return len(rc) - bisect.bisect_left(rc, ((e.lead >> s) - r) << s), e.seq, e
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +637,12 @@ class _StdEngine:
         # standard monomials of the minimal leads per degree 0..bound-1,
         # summed over components; None while the staircase is infinite
         self.counts = None
-        # lead code -> the reducer _weak_nf chose for it (see there); valid
+        # lead code -> the reducer _weak_nf chose for it (see there), and the
+        # entries ranked for each lead degree under the cut; both are valid
         # while the bound, and with it every entry's tail and ecart, stands
         self.reducers = {}
+        self.ranks = None if self.cut is None else _Ranks(self.entries, self.lay,
+                                                          self.cut, 0)
 
     # -- truncation bookkeeping -----------------------------------------
 
@@ -630,6 +685,7 @@ class _StdEngine:
         self.cut = cut = _cut(self.lay, corner)
         self.reducers.clear()
         lay = self.lay
+        top = 0
         for e in self.entries:
             if e.lead < cut:
                 continue  # inert: divides no surviving term
@@ -637,7 +693,10 @@ class _StdEngine:
             if len(nt) != len(e.terms):
                 e.terms = nt
                 e.rcodes = e.rden = e.rnums = e.rmax = None
-                e.ecart = lay.max_degree(code for code, _ in nt) - lay.degree(e.lead)
+                e.ecart = lay.degree(nt[-1][0]) - e.deg
+            if e.ecart > top:
+                top = e.ecart
+        self.ranks = _Ranks(self.entries, lay, cut, top)
 
     def _count_leads(self):
         """The per-degree standard-monomial counts of the minimal leads'
@@ -727,6 +786,8 @@ class _StdEngine:
         self.stats.discarded += len(dead)
 
         entries.append(entry)
+        if self.ranks is not None:
+            self.ranks.add(entry)
         # a new lead that no minimal lead divides is minimal itself, and the
         # leads it divides stop being so; only a new minimal lead can close
         # an axis or move the corner
@@ -753,8 +814,8 @@ class _StdEngine:
                 continue
             other = entries[i]
             sug = max(
-                other.sugar + deg_lcm - lay_deg(other.lead),
-                sugar + deg_lcm - lay_deg(lead),
+                other.sugar + deg_lcm - other.deg,
+                sugar + deg_lcm - entry.deg,
             )
             if self.strategy.pair_selection == "sugar":
                 k0 = sug
@@ -786,10 +847,10 @@ class _StdEngine:
             ei = self.entries[i]
             ej = self.entries[j]
             s_poly = _spoly_terms(ei, ej, lcm_code, lay, field.characteristic,
-                                  self.bound)
+                                  self.cut, self.bound > 4096)
             sug = max(
-                ei.sugar + deg_lcm - lay.degree(ei.lead),
-                ej.sugar + deg_lcm - lay.degree(ej.lead),
+                ei.sugar + deg_lcm - ei.deg,
+                ej.sugar + deg_lcm - ej.deg,
             )
             nf, sug = _weak_nf(
                 s_poly,
@@ -802,6 +863,7 @@ class _StdEngine:
                 self.bound,
                 sug,
                 self.reducers,
+                self.ranks,
             )
             nf = self._truncate(nf)
             if nf:

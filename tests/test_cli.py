@@ -174,6 +174,14 @@ def test_computation_error_maps_to_one(capsys):
     assert code == 1 and "q" in err
 
 
+@pytest.mark.parametrize("poly", ["3^65536", "(x+1)^65536"])
+def test_literal_power_past_the_exponent_range_maps_to_one(capsys, poly):
+    # refused by the parser before the power is computed
+    code, out, err = run(capsys, "vdim", "--ring", "0 (x,y) ds", "--poly", poly)
+    assert code == 1 and not out
+    assert "ExponentOverflow: exponent 65536 out of range [0, 2^16)" in err
+
+
 @pytest.mark.parametrize("order, code, message", [
     ("65", 1, "ResourceExhausted: condition-1 linear algebra refused at order 65"
               " (limit 64)"),

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from germkit import parse_job, parse_poly, parse_ring, serialize
-from germkit.errors import ParseError
+from germkit.errors import ExponentOverflow, ParseError
 from germkit.parse import parse_orderings
 
 SEED = 71
@@ -44,6 +44,17 @@ def test_expression_grammar():
     assert parse_poly("x*(y+z)", ring) == parse_poly("x*y+x*z", ring)
     assert parse_poly("x^0", ring) == ring.constant(1)
     assert parse_poly("2^3*x", ring) == parse_poly("8*x", ring)
+
+
+@pytest.mark.parametrize("text, column", [("3^65536", 3), ("(x+1)^65536", 7)])
+def test_literal_powers_stay_in_the_exponent_range(text, column):
+    ring = parse_ring("ring 0 (x,y) dp")
+    with pytest.raises(ExponentOverflow) as e:
+        parse_poly(text, ring)
+    assert str(e.value) == (
+        "exponent 65536 out of range [0, 2^16) (line 1, column %d)" % column)
+    # the largest exponent in range still parses
+    assert parse_poly("3^65535", ring) == ring.constant(3 ** 65535)
 
 
 def test_parse_errors_carry_position():

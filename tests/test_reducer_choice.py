@@ -2,15 +2,19 @@
 bookkeeping behind it.
 
 Under a degree bound a step reduces by the divisor whose shifted tail keeps
-the fewest terms below the bound, ties going to the older entry; the engine
-remembers each lead code's choice and later tests only the entries that
-arrived since. These tests hold the choice against a brute-force minimum,
-a cached run against one whose cache never stores anything, and local_vdim
-against the dense linear-algebra oracle. The corner tightening skips the
-staircase while some component lacks a pure power of some variable, and
-counts the staircase once and then by subtraction; the last tests hold that
-set against the staircase at every call, and a run against one that builds,
-asks and counts the staircase every time.
+the fewest terms below the bound, ties going to the older entry.  How many
+terms a divisor keeps depends on the lead only through its degree, so the
+engine ranks its entries once per lead degree and a step takes the first
+divisor in that ranking; a lead code's choice is also remembered until an
+entry arrives.  These tests hold every choice, fresh or remembered, against
+a brute-force minimum, the held rankings against a fresh sort, the identity
+they rest on against the code cut, a cached run against one whose cache
+never stores anything, and local_vdim against the dense linear-algebra
+oracle.  The corner tightening skips the staircase while some component
+lacks a pure power of some variable, and counts the staircase once and then
+by subtraction; the last tests hold that set against the staircase at every
+call, and a run against one that builds, asks and counts the staircase
+every time.
 """
 
 import random
@@ -96,35 +100,97 @@ def _surviving(e, delta, cut):
     return sum(1 for code, _ in e.terms[1:] if code + delta >= cut)
 
 
+def _check_choice(engine, hcode, best, steps):
+    """best, the reducer of the lead hcode, is the divisor whose shifted
+    tail keeps the fewest terms at or above the cut, ties to the older."""
+    lay, cut, entries = engine.lay, engine.cut, engine.entries
+    assert cut is not None
+    counts = [(_surviving(e, hcode - e.lead, cut), k)
+              for k, e in enumerate(entries) if lay.divides(e.lead, hcode)]
+    if not counts:
+        assert best is None
+        return
+    fewest, oldest = min(counts)
+    assert best is entries[oldest], (fewest, counts)
+    steps.append(fewest)
+
+
+class _CheckedCache(dict):
+    """A reducer cache that checks each choice it serves: one made before
+    the last entry arrived is not served, so the step ranks again."""
+
+    def __init__(self, engine, steps):
+        super().__init__()
+        self.engine = engine
+        self.steps = steps
+
+    def get(self, hcode):
+        got = super().get(hcode)
+        if got is not None and got[3] == len(self.engine.entries):
+            _check_choice(self.engine, hcode, got[0], self.steps)
+        return got
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(std_inputs())
 def test_the_chosen_divisor_keeps_the_fewest_terms(case):
     gens, strategy, jet = case
     if not gens:
         return
-    ring = gens[0].ring
-    lay = ring.module_layout if isinstance(gens[0], VectorElement) else ring.layout
     choose = sb._choose
-    steps = []
+    init = sb._StdEngine.__init__
+    for cached in (True, False):
+        engines = []
+        steps = []
 
-    def checked(hcode, got, entries, cut, *rest):
-        best = choose(hcode, got, entries, cut, *rest)
-        assert got is None and cut is not None
-        counts = [(_surviving(e, hcode - e.lead, cut), k)
-                  for k, e in enumerate(entries) if lay.divides(e.lead, hcode)]
-        if not counts:
-            assert best is None
+        def patched(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.reducers = _CheckedCache(self, steps) if cached else _NoStore()
+            engines.append(self)
+
+        def checked(hcode, ranked, check_mask):
+            best = choose(hcode, ranked, check_mask)
+            _check_choice(engines[-1], hcode, best, steps)
             return best
-        fewest, oldest = min(counts)
-        assert best is entries[oldest], (fewest, counts)
-        steps.append(fewest)
-        return best
 
-    with pytest.MonkeyPatch.context() as mp:
-        _uncached(mp)
-        mp.setattr(sb, "_choose", checked)
-        basis = std(gens, strategy, jet=jet)
-    assert len(steps) == basis.stats.reductions
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sb._StdEngine, "__init__", patched)
+            mp.setattr(sb, "_choose", checked)
+            basis = std(gens, strategy, jet=jet)
+        # every step's reducer was checked once, ranked or remembered
+        assert len(steps) == basis.stats.reductions
+
+
+# random layouts whose top field is minus the degree: ds, ls and
+# ws(1,...,1), scalar or term over position
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_kept_terms_depend_on_the_lead_only_through_its_degree(data):
+    n = data.draw(st.integers(1, 4))
+    ordering = data.draw(st.sampled_from(("ds", "ls", "ws(%s)" % ",".join("1" * n))))
+    ring = RingContext(32003, ("x", "y", "z", "w")[:n], ordering)
+    rank = data.draw(st.sampled_from((None, 2, 3)))
+    lay = ring.layout if rank is None else ring.module_layout
+    assert lay.deg_top == -1
+    exps = st.tuples(*[st.integers(0, 2000)] * n)
+    comp = data.draw(st.integers(1, rank)) if rank else None
+    l_exps = data.draw(exps)
+    h_exps = tuple(a + b for a, b in zip(l_exps, data.draw(exps)))
+    c_exps = data.draw(exps)
+    c_comp = data.draw(st.integers(1, rank)) if rank else None
+    lead = lay.encode(l_exps, comp)
+    h = lay.encode(h_exps, comp)
+    c = lay.encode(c_exps, c_comp)
+    bound = data.draw(st.integers(1, 4 * 2000 * n))
+    assert lay.divides(lead, h)
+    r = bound - 1 - sum(h_exps)
+    assert (c + (h - lead) >= sb._cut(lay, bound)) == (sum(c_exps) - sum(l_exps) <= r)
+    # the entry takes its top degree from its last term, since terms descend
+    tail = data.draw(st.lists(exps, max_size=4))
+    codes = sorted({lay.encode(e, comp) for e in tail + [l_exps]}, reverse=True)
+    e = sb._Entry([(code, 1) for code in codes], lay, 0)
+    assert e.deg == lay.degree(codes[0])
+    assert e.ecart == max(map(lay.degree, codes)) - e.deg
 
 
 def _run(gens, strategy, jet):
@@ -414,3 +480,80 @@ def test_certifying_rungs_count_no_staircase(run, want, monkeypatch):
     _staircase_calls(monkeypatch, calls)
     run()
     assert len(calls) == want, calls
+
+
+# ---------------------------------------------------------------------------
+# the rankings the engine holds under a cut
+
+
+def _kept_at(lay, e, r):
+    return sum(1 for code, _ in e.terms[1:] if lay.degree(code) - e.deg <= r)
+
+
+def _check_ranks(engine, held):
+    """The engine's rankings equal a fresh sort, by (tail terms kept at r,
+    seq), of the entries of lead degree at most bound - 1 - r, and r is
+    clamped at the largest ecart of a lead above the cut."""
+    ranks = engine.ranks
+    if ranks is None:
+        assert engine.cut is None
+        return
+    lay, cut, bound = engine.lay, engine.cut, engine.bound
+    assert ranks.cut == cut
+    assert ranks.top == max((e.ecart for e in engine.entries if e.lead >= cut),
+                            default=0)
+    for r, ranked in ranks.lists.items():
+        assert 0 <= r <= ranks.top
+        fresh = sorted((_kept_at(lay, e, r), e.seq, e) for e in engine.entries
+                       if e.deg <= bound - 1 - r)
+        assert ranked == fresh
+        held.append(len(ranked))
+
+
+RANKS_SEED = 20264
+
+
+def test_held_rankings_equal_a_fresh_sort(monkeypatch):
+    rng = random.Random(RANKS_SEED)
+    inputs = [_random_counts_input(rng) for _ in range(150)]
+    inputs.append((_unit_lead_module(), 6))
+    held = []
+    joined = moved = 0
+    engines = []
+    insert = sb._StdEngine.insert
+    weak_nf = sb._weak_nf
+
+    def checked_insert(self, terms, sugar):
+        nonlocal joined, moved
+        ranks = self.ranks
+        sizes = {} if ranks is None else {r: len(v) for r, v in ranks.lists.items()}
+        insert(self, terms, sugar)
+        _check_ranks(self, held)
+        if ranks is None:
+            return
+        if self.ranks is ranks:
+            joined += sum(len(v) > sizes[r] for r, v in ranks.lists.items())
+        else:
+            moved += 1
+
+    def checked_weak_nf(*args, **kwargs):
+        out = weak_nf(*args, **kwargs)
+        _check_ranks(engines[-1], held)
+        return out
+
+    init = sb._StdEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(sb._StdEngine, "__init__", patched)
+    monkeypatch.setattr(sb._StdEngine, "insert", checked_insert)
+    monkeypatch.setattr(sb, "_weak_nf", checked_weak_nf)
+    for gens, jet in inputs:
+        if gens:
+            std(gens, jet=jet)
+    # many rankings were checked, new entries joined held ones, and held
+    # ones were dropped when the bound moved
+    assert len(held) >= 1000 and joined >= 100 and moved >= 100, (
+        len(held), joined, moved)
