@@ -15,12 +15,14 @@ jet's degree bound the terms that survive are a suffix of the ascending tail,
 found by one bisection against a code cut, and exponent overflow is one test
 of the tail's per-variable maximum exponents.
 
-Reduction is fraction-free: the work polynomial and the reducer tails hold
+Reduction is fraction-free: the work polynomial and every reducer hold
 integer numerators over one common denominator each (over a prime field the
 residues themselves, over the denominator 1), and a step over Q is a
-pseudo-division on those integers. Rationals are formed only where terms
-enter or leave a reduction, so every value std and normal_form return is the
-exact one.
+pseudo-division on those integers. A reducer is held once, in that form: a
+new element is made monic by one gcd (one inverse over F_p) on the integers
+its reduction left. Rationals are formed only where inputs enter and results
+leave (_integral and _over), so every value std, normal_form and spoly return
+is the exact one.
 """
 
 import bisect
@@ -36,12 +38,13 @@ from .errors import (
     InfiniteDimensional,
     ModeOrderingMismatch,
     ModuleRankMismatch,
+    ParameterOutOfRange,
     ResourceExhausted,
     RingMismatch,
     ZeroElement,
     ZeroPolynomial,
 )
-from .ring import Polynomial, VectorElement, _scale
+from .ring import Polynomial, VectorElement
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
@@ -187,7 +190,6 @@ class _WorkPoly:
 
 class _Entry:
     __slots__ = (
-        "terms",
         "lead",
         "lead_exps",
         "deg",
@@ -195,25 +197,27 @@ class _Entry:
         "ecart",
         "sugar",
         "seq",
-        "rcodes",
-        "rden",
-        "rnums",
+        "codes",
+        "den",
+        "nums",
         "rmax",
     )
 
-    def __init__(self, terms, lay, seq, sugar=None, ecart_=None):
-        """A monic reducer; sugar and ecart default to the terms' own."""
-        lead = terms[0][0]
-        self.terms = terms
+    def __init__(self, monic, lay, seq, sugar=None, ecart_=None):
+        """A monic reducer from _monic's (lead, ascending tail codes, L,
+        numerators `nums` over `den` = L, which is 1 over F_p); sugar and
+        ecart default to the element's own."""
+        lead, codes, self.den, self.nums = monic
         self.lead = lead
+        self.codes = codes
         self.lead_exps = lay.decode_exps(lead)
         self.deg = lay.degree(lead)
         self.comp = lay.component(lead) if lay.comp_div_shift is not None else None
         if sugar is None or ecart_ is None:
-            # the terms descend, so where the top field is minus the degree
-            # the last one has the largest
-            top = (lay.degree(terms[-1][0]) if lay.deg_top < 0
-                   else lay.max_degree(code for code, _ in terms))
+            # the tail ascends, so where the top field is minus the degree
+            # its first code has the largest
+            top = (lay.degree(codes[0] if codes else lead) if lay.deg_top < 0
+                   else lay.max_degree([lead, *codes]))
             if sugar is None:
                 sugar = top
             if ecart_ is None:
@@ -221,31 +225,20 @@ class _Entry:
         self.ecart = ecart_
         self.sugar = sugar
         self.seq = seq
-        self.rcodes = None  # tail codes, ascending; built on first use
-        self.rden = None
-        self.rnums = None
         self.rmax = None  # code of the tail's per-variable maximum exponents
-
-    def codes(self):
-        """The tail codes, ascending; builds the integral tail on first use."""
-        if self.rcodes is None:
-            self.rden, tail = _integral(self.terms[:0:-1])
-            self.rcodes = [t[0] for t in tail]
-            self.rnums = [t[1] for t in tail]
-        return self.rcodes
 
     def tail(self, delta, cut, lay, check):
         """(codes, L, numerators) of the tail terms that shifted by delta
         stay at or above the code cut (all of them when cut is None), in
-        ascending order: the tail is the numerators over their least common
-        denominator L.  With check set, raises ExponentOverflow when a
-        shifted exponent leaves the packed range."""
-        rc = self.rcodes
-        if rc is None:
-            rc = self.codes()
-        rn = self.rnums
+        ascending order: the tail is the numerators over L, their least
+        common denominator until a bound move cuts the tail (see
+        _StdEngine._tighten_corner), and a common one after.  With check
+        set, raises ExponentOverflow when a shifted exponent leaves the
+        packed range."""
+        rc = self.codes
+        rn = self.nums
         if not rc:
-            return rc, self.rden, rn
+            return rc, self.den, rn
         if check:
             # exponent fields are 18 bits wide and both addends are below
             # 2^16, so no carry crosses a field: some shifted exponent
@@ -258,15 +251,20 @@ class _Entry:
         if cut is not None:
             lo = bisect.bisect_left(rc, cut - delta)
             if lo:
-                return rc[lo:], self.rden, rn[lo:]
-        return rc, self.rden, rn
+                return rc[lo:], self.den, rn[lo:]
+        return rc, self.den, rn
+
+    def values(self, p):
+        """The terms as field values, leading term first."""
+        tail = zip(reversed(self.codes), reversed(self.nums))
+        return _over([(self.lead, self.den), *tail], self.den, p)
 
 
 def _scan_key(e):
     """Mora's scan order: least ecart first, ties to the shortest tail
     (cheaper to apply; a monomial reducer deletes the term outright), then
     to the older entry."""
-    return (e.ecart, len(e.terms), e.seq)
+    return (e.ecart, len(e.codes), e.seq)
 
 
 def _layout_for(obj):
@@ -283,7 +281,7 @@ def _raw(obj):
     return obj._terms
 
 
-def _wrap(template, ring, terms, rank):
+def _wrap(ring, terms, rank):
     if rank is None:
         return Polynomial(ring, terms)
     return VectorElement(ring, rank, terms)
@@ -323,28 +321,41 @@ def spoly(f, g):
         rank = f.rank
         if lay.component(tf[0][0]) != lay.component(tg[0][0]):
             raise ComponentMismatch("leading components differ")
-    field = ring.field
-    ef = _Entry(_monic(tf, field), lay, 0)
-    eg = _Entry(_monic(tg, field), lay, 1)
+    p = ring.field.characteristic
+    ef = _Entry(_monic(_integral(tf)[1], p), lay, 0)
+    eg = _Entry(_monic(_integral(tg)[1], p), lay, 1)
     lcm_code = lay.encode(tuple(map(max, ef.lead_exps, eg.lead_exps)), ef.comp)
-    s = _spoly_terms(ef, eg, lcm_code, lay, field.characteristic, None, True)
-    return _wrap(f, ring, _over(s.descending(), s.den, s.p), rank)
+    s = _spoly_terms(ef, eg, lcm_code, lay, p, None, True)
+    return _wrap(ring, _over(s.descending(), s.den, p), rank)
 
 
 # ---------------------------------------------------------------------------
 # the elementary step
 
 
-def _monic(terms, field):
-    lc = terms[0][1]
-    return terms if lc == field.one else _scale(terms, field.inv(lc), field)
+def _monic(terms, p):
+    """(lead, ascending tail codes, L, numerators over L) of the monic form
+    of `terms`, descending (code, integer numerator) pairs over any common
+    denominator.  Over F_p the numerators are multiplied by the lead's
+    inverse and L is 1.  Over Q all are divided by their gcd, signed like
+    the lead; what is left of the lead is L, the least common denominator
+    of the monic coefficients."""
+    lead, h = terms[0]
+    tail = terms[:0:-1]
+    codes = [c for c, _ in tail]
+    if p:
+        inv = pow(h, p - 2, p)
+        return lead, codes, 1, [v * inv % p for _, v in tail]
+    g = gcd(h, *[v for _, v in tail])
+    if h < 0:
+        g = -g
+    return lead, codes, h // g, [v // g for _, v in tail]
 
 
 def _integral(terms):
     """(D, terms over D): D is the least common denominator of the
     coefficients and each becomes its integer numerator over D. Residues
-    are ints, whose denominator is 1. With D = 1 each numerator is the
-    coefficient's own int object, so a cached tail allocates no new ints."""
+    are ints, whose denominator is 1, and stay the same int objects."""
     den = lcm(*{v.denominator for _, v in terms})
     if den == 1:
         return 1, [(c, v.numerator) for c, v in terms]
@@ -391,10 +402,11 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check):
 # weak normal form
 
 
-def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
+def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
              cache=None, ranks=None):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
-    (terms, sugar) with the terms as field values.
+    (terms, den, sugar): the descending (code, integer numerator) terms of
+    the result over the denominator den (residues over 1 over F_p).
 
     A step cancels the lead numerator H against a reducer tail N/L: with
     q = gcd(L, H) the work polynomial is multiplied by L/q (when that is not
@@ -432,7 +444,6 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
     is when entry tails and ecarts change.
     """
     extend = mora and bound >= _HUGE
-    p = field.characteristic
     cut = ranks.cut if ranks is not None else _cut(lay, bound)
     check = bound > 4096
     terms = bucket.terms
@@ -463,14 +474,14 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
                 break
         else:
             counter.reductions += reds
-            return [], sugar
+            return [], bucket.den, sugar
 
         got = get(hcode)
         if got is not None and (cut is None or got[3] == seen_all):
             best, delta, lo, _ = got
-            rc = best.rcodes
-            rn = best.rnums
-            rden = best.rden
+            rc = best.codes
+            rn = best.nums
+            rden = best.den
             if lo:
                 rc = rc[lo:]
                 rn = rn[lo:]
@@ -501,11 +512,8 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
                 if best is not None and best.ecart > h_ecart:
                     # self-extension is what makes unbounded local reduction
                     # terminate: every cheaper reduction is exhausted, so
-                    # remember the current state for later leads to reduce
-                    # against; its monic form is the numerators over the
-                    # lead's, so the scale cancels
-                    snap = [(hcode, field.one)]
-                    snap.extend(_over(bucket.descending(), hcoeff, p))
+                    # remember the current state for later leads to reduce against
+                    snap = _monic([(hcode, hcoeff), *bucket.descending()], p)
                     snap = _Entry(snap, lay, _HUGE + len(scan), sugar, h_ecart)
                     bisect.insort(scan, snap, key=_scan_key)
 
@@ -513,12 +521,12 @@ def _weak_nf(bucket, entries, lay, field, mora, counter, ceiling, bound, sugar,
                 tail = bucket.descending()
                 tail.insert(0, (hcode, hcoeff))
                 counter.reductions += reds
-                return _over(tail, bucket.den, p), sugar
+                return tail, bucket.den, sugar
 
             delta = hcode - best.lead
             rc, rden, rn = best.tail(delta, cut, lay, check)
             if cache is not None:
-                cache[hcode] = (best, delta, len(best.rcodes) - len(rc), seen_all)
+                cache[hcode] = (best, delta, len(best.codes) - len(rc), seen_all)
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
@@ -582,14 +590,14 @@ class _Ranks:
         s = self.shift
         low = self.cut + (r << s)
         ranked = self.lists[r] = sorted([
-            (len(e.terms) - 1, e.seq, e) if r >= e.ecart else _kept(e, r, s)
+            (len(e.codes), e.seq, e) if r >= e.ecart else _kept(e, r, s)
             for e in self.entries if e.lead >= low])
         return ranked
 
     def add(self, e):
         if self.lists:
             s = self.shift
-            whole = len(e.terms) - 1, e.seq, e
+            whole = len(e.codes), e.seq, e
             last = (e.lead - self.cut) >> s  # the largest r e can serve
             for r, ranked in self.lists.items():
                 if r <= last:
@@ -601,9 +609,7 @@ class _Ranks:
 def _kept(e, r, s):
     """(tail terms of e kept at r, seq, e) for r below e's ecart; the codes
     of degree at most deg lead + r are those at or above the cut below."""
-    rc = e.rcodes
-    if rc is None:
-        rc = e.codes()
+    rc = e.codes
     return len(rc) - bisect.bisect_left(rc, ((e.lead >> s) - r) << s), e.seq, e
 
 
@@ -616,7 +622,6 @@ class _StdEngine:
         self.ring = ring
         self.rank = rank
         self.lay = ring.layout if rank is None else ring.module_layout
-        self.field = ring.field
         self.strategy = strategy
         self.mora = mora
         self.ceiling = ceiling
@@ -689,11 +694,12 @@ class _StdEngine:
         for e in self.entries:
             if e.lead < cut:
                 continue  # inert: divides no surviving term
-            nt = self._truncate(e.terms)
-            if len(nt) != len(e.terms):
-                e.terms = nt
-                e.rcodes = e.rden = e.rnums = e.rmax = None
-                e.ecart = lay.degree(nt[-1][0]) - e.deg
+            lo = bisect.bisect_left(e.codes, cut)
+            if lo:
+                e.codes = e.codes[lo:]
+                e.nums = e.nums[lo:]
+                e.rmax = None
+                e.ecart = lay.degree(e.codes[0]) - e.deg if e.codes else 0
             if e.ecart > top:
                 top = e.ecart
         self.ranks = _Ranks(self.entries, lay, cut, top)
@@ -718,17 +724,11 @@ class _StdEngine:
                 counts[j] += v
         return counts
 
-    def _truncate(self, terms):
-        """The terms of degree below the bound (code at or above the cut)."""
-        cut = self.cut
-        if cut is None:
-            return terms
-        return [t for t in terms if t[0] >= cut]
-
     # -- pair bookkeeping -------------------------------------------------
 
-    def insert(self, terms, sugar):
-        """Add a monic element and update the pairs (Gebauer-Moeller).
+    def insert(self, monic, sugar):
+        """Add a monic element, as _monic returns it, and update the pairs
+        (Gebauer-Moeller).
 
         The lcm code of the new lead with each entry of its component is
         computed once; the new pairs and the deletion of old pairs both read
@@ -738,7 +738,7 @@ class _StdEngine:
         lay = self.lay
         entries = self.entries
         t = len(entries)
-        entry = _Entry(terms, lay, t, sugar)
+        entry = _Entry(monic, lay, t, sugar)
         lead = entry.lead
         exps = entry.lead_exps
         comp = entry.comp
@@ -750,7 +750,7 @@ class _StdEngine:
             if e.comp == comp
         }
         # the s-polynomial of two monomials is identically zero
-        new = [i for i in lcms if len(terms) > 1 or len(entries[i].terms) > 1]
+        new = [i for i in lcms if entry.codes or entries[i].codes]
         self.stats.pairs += len(new)
 
         # one representative per equal-lcm class; the class dies when another
@@ -828,12 +828,15 @@ class _StdEngine:
             self.pair_seq += 1
 
     def run(self, seeds):
+        """Seeds are (integer numerator terms, sugar) pairs."""
         lay = self.lay
-        field = self.field
+        p = self.ring.field.characteristic
         for terms, sugar in seeds:
-            terms = self._truncate(terms)
+            cut = self.cut  # an earlier seed may have moved it
+            if cut is not None:  # keep the terms of degree below the bound
+                terms = [t for t in terms if t[0] >= cut]
             if terms:
-                self.insert(_monic(terms, field), sugar)
+                self.insert(_monic(terms, p), sugar)
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             lcm_code = self.pairs.pop((i, j), None)
@@ -846,17 +849,18 @@ class _StdEngine:
                 continue
             ei = self.entries[i]
             ej = self.entries[j]
-            s_poly = _spoly_terms(ei, ej, lcm_code, lay, field.characteristic,
-                                  self.cut, self.bound > 4096)
+            s_poly = _spoly_terms(ei, ej, lcm_code, lay, p, self.cut, self.bound > 4096)
             sug = max(
                 ei.sugar + deg_lcm - ei.deg,
                 ej.sugar + deg_lcm - ej.deg,
             )
-            nf, sug = _weak_nf(
+            # the s-polynomial and every tail suffix added to it sit at or
+            # above the cut, which moves only in insert
+            nf, _, sug = _weak_nf(
                 s_poly,
                 self.entries,
                 lay,
-                field,
+                p,
                 self.mora,
                 self.stats,
                 self.ceiling,
@@ -865,9 +869,8 @@ class _StdEngine:
                 self.reducers,
                 self.ranks,
             )
-            nf = self._truncate(nf)
             if nf:
-                self.insert(_monic(nf, field), sug)
+                self.insert(_monic(nf, p), sug)
 
     def minimal_entries(self):
         """The entries with minimal leads (the first of equal ones), leading
@@ -892,14 +895,11 @@ class StandardBasis:
     on a basis without counts, build the Staircase.
     """
 
-    def __init__(self, ring, rank, generators, stats, mode, strategy, jet=None,
-                 counts=None):
+    def __init__(self, ring, rank, generators, stats, jet=None, counts=None):
         self.ring = ring
         self.rank = rank
         self.generators = tuple(generators)
         self.stats = stats
-        self.mode = mode
-        self.strategy = strategy
         self.jet = jet
         self.counts = counts
         self._staircase = None
@@ -932,8 +932,11 @@ class StandardBasis:
         return self._staircase
 
 
-def _uses_mora(mode, ring):
-    """Validate a std/normal_form mode; True when it means tangent-cone reduction."""
+def _uses_mora(mode, ring, ceiling):
+    """Validate a std/normal_form mode and ceiling; True when the mode means
+    tangent-cone reduction."""
+    if ceiling < 0:
+        raise ParameterOutOfRange("reduction ceiling must be non-negative")
     if mode not in ("auto", "buchberger", "mora"):
         raise ValueError("mode must be auto, buchberger or mora")
     if mode == "buchberger" and not ring.is_global:
@@ -967,19 +970,16 @@ def std(
     leading data is exact below degree K. It needs such an ordering, and
     dimension queries then go through jet_dimensions.
     """
+    generators = list(generators)
+    if not generators:
+        raise ZeroPolynomial("std of an empty generator list")
     gens = [g for g in generators if g]
-    if not gens:
-        gens_all = list(generators)
-        if not gens_all:
-            raise ZeroPolynomial("std of an empty generator list")
-        ring = gens_all[0].ring
-        rank = _rank_of(gens_all[0])
-        return StandardBasis(
-            ring, rank, (), Stats(), "auto", strategy or Strategy(), jet
-        )
-    ring = gens[0].ring
-    first = gens[0]
+    first = (gens or generators)[0]
+    ring = first.ring
     rank = _rank_of(first)
+    mora = _uses_mora(mode, ring, ceiling)
+    if not gens:
+        return StandardBasis(ring, rank, (), Stats(), jet)
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators live in different rings")
@@ -989,7 +989,6 @@ def std(
             raise ModuleRankMismatch("module ranks differ")
     if strategy is None:
         strategy = Strategy()
-    mora = _uses_mora(mode, ring)
 
     if jet is not None:
         if not isinstance(jet, int) or jet < 1:
@@ -1003,14 +1002,13 @@ def std(
     t0 = time.perf_counter()
     engine = _StdEngine(ring, rank, strategy, mora, ceiling, jet)
     max_degree = engine.lay.max_degree
-    engine.run([(list(g._terms), max_degree(code for code, _ in g._terms))
+    engine.run([(_integral(g._terms)[1], max_degree(code for code, _ in g._terms))
                 for g in gens])
     kept = engine.minimal_entries()
     engine.stats.millis = int((time.perf_counter() - t0) * 1000)
-    gens_out = [_wrap(first, ring, e.terms, rank) for e in kept]
-    mode_used = "mora" if mora else "buchberger"
-    return StandardBasis(ring, rank, gens_out, engine.stats, mode_used, strategy, jet,
-                         engine.counts)
+    p = ring.field.characteristic
+    gens_out = [_wrap(ring, e.values(p), rank) for e in kept]
+    return StandardBasis(ring, rank, gens_out, engine.stats, jet, engine.counts)
 
 
 def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
@@ -1027,6 +1025,7 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     """
     ring = f.ring
     rank = _rank_of(f)
+    mora = _uses_mora(mode, ring, ceiling)
     bound = _HUGE
     if isinstance(reducers, StandardBasis):
         if reducers.layout.deg_top == -1:
@@ -1034,9 +1033,8 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
             if corner is not None and corner != INFINITE:
                 bound = corner
         reducers = list(reducers.generators)
-    field = ring.field
+    p = ring.field.characteristic
     lay = _layout_for(f)
-    mora = _uses_mora(mode, ring)
     entries = []
     for k, g in enumerate(reducers):
         if not g:
@@ -1047,25 +1045,25 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
             rank is not None and g.rank != rank
         ):
             raise ModuleRankMismatch("reducers do not match the element")
-        entries.append(_Entry(_monic(g._terms, field), lay, k))
+        entries.append(_Entry(_monic(_integral(g._terms)[1], p), lay, k))
     counter = Stats()
     init = f._terms
     sugar = lay.max_degree(code for code, _ in init) if init else 0
     cut = _cut(lay, bound)
     if cut is not None:
         init = [t for t in init if t[0] >= cut]
-    out, _ = _weak_nf(
-        _WorkPoly(field.characteristic, *_integral(init)),
+    out, den, _ = _weak_nf(
+        _WorkPoly(p, *_integral(init)),
         entries,
         lay,
-        field,
+        p,
         mora,
         counter,
         ceiling,
         bound,
         sugar,
     )
-    return _wrap(f, ring, out, rank)
+    return _wrap(ring, _over(out, den, p), rank)
 
 
 def is_member(f, basis, ceiling=DEFAULT_CEILING):

@@ -195,6 +195,24 @@ def test_reiffen_order_refusals(capsys, order, code, message):
     assert err == "germkit reiffen: %s\n" % message
 
 
+ZARISKI_T1 = ["milnor", "--ring", "32003 (x,y,z) ds", "--family", "zariski:16,12,4:t=1"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["vdim", "--ring", "0 (x,y) ds", "--poly", "x^2", "--poly", "y^3", "--ceiling", "-1"],
+     None),
+    (ZARISKI_T1 + ["--ceiling", "-1"], None),
+    (ZARISKI_T1, "-7"),
+])
+def test_negative_ceiling_is_refused(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("GERMKIT_CEILING", env)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (1, "")
+    assert err == ("germkit %s: ParameterOutOfRange: reduction ceiling must be "
+                   "non-negative\n" % argv[0])
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["milnor", "--bogus"])

@@ -97,7 +97,7 @@ def _uncached(monkeypatch):
 
 
 def _surviving(e, delta, cut):
-    return sum(1 for code, _ in e.terms[1:] if code + delta >= cut)
+    return sum(1 for code in e.codes if code + delta >= cut)
 
 
 def _check_choice(engine, hcode, best, steps):
@@ -185,10 +185,11 @@ def test_kept_terms_depend_on_the_lead_only_through_its_degree(data):
     assert lay.divides(lead, h)
     r = bound - 1 - sum(h_exps)
     assert (c + (h - lead) >= sb._cut(lay, bound)) == (sum(c_exps) - sum(l_exps) <= r)
-    # the entry takes its top degree from its last term, since terms descend
+    # the entry takes its top degree from its first tail code, since the
+    # tail ascends
     tail = data.draw(st.lists(exps, max_size=4))
     codes = sorted({lay.encode(e, comp) for e in tail + [l_exps]}, reverse=True)
-    e = sb._Entry([(code, 1) for code in codes], lay, 0)
+    e = sb._Entry(sb._monic([(code, 1) for code in codes], 32003), lay, 0)
     assert e.deg == lay.degree(codes[0])
     assert e.ecart == max(map(lay.degree, codes)) - e.deg
 
@@ -487,7 +488,7 @@ def test_certifying_rungs_count_no_staircase(run, want, monkeypatch):
 
 
 def _kept_at(lay, e, r):
-    return sum(1 for code, _ in e.terms[1:] if lay.degree(code) - e.deg <= r)
+    return sum(1 for code in e.codes if lay.degree(code) - e.deg <= r)
 
 
 def _check_ranks(engine, held):

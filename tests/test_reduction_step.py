@@ -6,14 +6,16 @@ tail at or above a code cut survives, and exponent overflow is one test of
 the tail's per-variable maximum. These tests hold each shortcut against the
 plain formula it replaces: shift every tail code, keep the terms of degree
 below the bound, add them into a dict, and OR every shifted code against the
-overflow mask. The cut needs total degree, negated, as the top field of a
-code, which the layout's deg_top records; its degree extremes are held
-against a scan over every code.
+overflow mask. A reducer is made monic on integer numerators, which is held
+against scaling the field values by the inverse of the leading coefficient.
+The cut needs total degree, negated, as the top field of a code, which the
+layout's deg_top records; its degree extremes are held against a scan over
+every code.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 from germkit import RingContext
 from germkit.errors import ExponentOverflow
-from germkit.ring import POSITION_OVER_TERM
-from germkit.stdbasis import _HUGE, _cut, _Entry, _WorkPoly
+from germkit.coeff import field_for
+from germkit.ring import POSITION_OVER_TERM, _scale
+from germkit.stdbasis import _HUGE, _cut, _Entry, _integral, _monic, _over, _WorkPoly
 
 SEED = 20261
 
@@ -121,8 +124,22 @@ def _random_coeff(rng, p):
     return Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
 
 
+def _checked_monic(terms, p):
+    """_monic of the field values `terms`, checked against the field route:
+    every coefficient times the inverse of the leading one.  Over Q the
+    denominator L is the least common denominator of the results."""
+    field = field_for(p)
+    monic = lead, codes, big_l, nums = _monic(_integral(terms)[1], p)
+    want = _scale(terms, field.inv(terms[0][1]), field)
+    assert _over([(lead, big_l), *zip(codes[::-1], nums[::-1])], big_l, p) == want
+    if not p:
+        assert big_l == lcm(*[v.denominator for _, v in want])
+    return monic
+
+
 def _random_entry(rng, ring, rank, p, max_exp):
-    """A monic reducer with a lead of degree 1 and up to 12 tail terms."""
+    """A reducer with a lead of degree 1 and up to 12 tail terms, made monic
+    (over Q the lead may be negative or fractional)."""
     lay = _layout(ring, rank)
     comp = rng.randint(1, 2)
     codes = {_encode(lay, rank, (1, 0, 0), comp)}
@@ -131,8 +148,8 @@ def _random_entry(rng, ring, rank, p, max_exp):
         if sum(exps) > 1:
             codes.add(_encode(lay, rank, exps, comp))
     codes = sorted(codes, reverse=True)
-    terms = [(codes[0], 1)] + [(c, _random_coeff(rng, p)) for c in codes[1:]]
-    entry = _Entry(terms, lay, 0)
+    terms = [(c, _random_coeff(rng, p)) for c in codes]
+    entry = _Entry(_checked_monic(terms, p), lay, 0)
     return entry, comp
 
 
@@ -169,7 +186,7 @@ def _fused_step(work, den, entry, delta, h, bound, lay, p):
     return wp.terms, wp.den
 
 
-@pytest.mark.parametrize("p", [32003, 0])
+@pytest.mark.parametrize("p", [32003, 0, 2, 101])
 def test_fused_step_matches_the_reference_formula(p):
     rng = random.Random(SEED + p)
     mismatches = rescaled = cancelled = 0
@@ -224,7 +241,7 @@ def test_overflow_test_matches_the_or_over_shifted_codes(which):
                          else rng.randint(0, 40) for _ in range(3))
             codes.add(_encode(lay, rank, exps, comp))
         codes = sorted(codes, reverse=True)
-        entry = _Entry([(c, 1) for c in codes], lay, 0)
+        entry = _Entry(_monic([(c, 1) for c in codes], 32003), lay, 0)
         delta = lay.encode(tuple(rng.randint(0, 400) for _ in range(3))) - lay.code_one
         overflows = any((c + delta) & lay.exp_overflow_mask for c in codes[1:])
         try:

@@ -33,10 +33,12 @@ from germkit.errors import (
     ExponentOverflow,
     InfiniteDimensional,
     ModeOrderingMismatch,
+    ParameterOutOfRange,
     ResourceExhausted,
     ZeroPolynomial,
 )
 from germkit.acceptance import _oracle_vdim
+from germkit.coeff import PrimeField, RationalField
 from germkit.ring import POSITION_OVER_TERM
 from germkit.stdbasis import PAIR_SELECTIONS, _basis_corner
 
@@ -396,6 +398,89 @@ def test_reduction_ceiling():
     gens = [parse_poly("x*y+z^3", ring), parse_poly("x*z+y*z^2+y^4", ring)]
     with pytest.raises(ResourceExhausted):
         std(gens + [parse_poly("x^2-y^5+z^4", ring)], ceiling=3)
+
+
+def test_a_negative_ceiling_is_refused():
+    # x^2, y^3 form no pair, so no step would ever test the ceiling
+    ring = _ring("ds", names="x,y")
+    gens = [parse_poly("x^2", ring), parse_poly("y^3", ring)]
+    xy = parse_poly("x*y", ring)
+    for call in (lambda c: std(gens, ceiling=c),
+                 lambda c: std([ring.zero()], ceiling=c),
+                 lambda c: normal_form(xy, gens, ceiling=c),
+                 lambda c: local_vdim(gens, ceiling=c)):
+        with pytest.raises(ParameterOutOfRange, match="ceiling"):
+            call(-1)
+    # a ceiling of 0 allows runs that take no step
+    assert vdim(std(gens, ceiling=0)) == 6
+    assert local_vdim(gens, ceiling=0)[0] == 6
+    assert normal_form(xy, gens, ceiling=0) == xy
+
+
+# ---------------------------------------------------------------------------
+# the engine's coefficient arithmetic
+
+
+def _katsura(n, ring):
+    """Katsura-n in u0..un."""
+    def u(k):
+        return "u%d" % abs(k) if abs(k) <= n else None
+    texts = ["+".join("%s*%s" % (u(i), u(m - i)) for i in range(-n, n + 1)
+                      if u(i) and u(m - i)) + "-u%d" % m for m in range(n)]
+    texts.append("u0+" + "+".join("2*u%d" % i for i in range(1, n + 1)) + "-1")
+    return [parse_poly(t, ring) for t in texts]
+
+
+def _katsura4(char):
+    return _katsura(4, _ring("dp", char, "u0,u1,u2,u3,u4")), None
+
+
+def _ft88_tjurina():
+    return ft_germ(8, 8).tjurina_generators(), 32
+
+
+def _snapshot_run(char):
+    # unbounded tangent-cone reduction that adds 9 snapshots of the work
+    # polynomial to its reducers
+    ring = _ring("dp(1),ds(2)", char)
+    return [parse_poly(t, ring) for t in ("2*y+3*z^3+x*y", "z-1/2*y^2+x*z^2",
+                                          "x^2-y*z")], None
+
+
+FIELD_METHODS = ("add", "sub", "mul", "div", "neg", "inv")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _katsura4(0), id="katsura4-dp-q"),
+    pytest.param(lambda: _katsura4(32003), id="katsura4-dp-32003"),
+    pytest.param(_ft88_tjurina, id="ft88-tjurina-jet32-ds-q"),
+    pytest.param(lambda: _snapshot_run(0), id="tangent-cone-q"),
+    pytest.param(lambda: _snapshot_run(32003), id="tangent-cone-32003"),
+])
+def test_the_engine_makes_no_coefficient_field_call(case, monkeypatch):
+    # coefficients enter the engine as integer numerators and leave it as
+    # field values, with no field arithmetic in between
+    gens, jet = case()
+    f = gens[0] * gens[-1] + gens[1]
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__name__)
+            return method(*args)
+        return wrapper
+
+    for cls in (RationalField, PrimeField):
+        for name in FIELD_METHODS:
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    basis = std(gens, jet=jet)
+    nf = normal_form(f, basis)
+    s = spoly(gens[0], gens[1])
+    assert calls == []
+    monkeypatch.undo()
+    assert len(basis) > 1 and s
+    if jet is None:
+        assert not nf  # f lies in the ideal
 
 
 def test_least_ecart_rule_keeps_unbounded_tangent_cone_reduction_short():
