@@ -85,10 +85,15 @@ def _dim_text(value):
 # configuration plumbing
 
 
+_ENV_NAMES = ("CEILING", "CHAR", "JSON", "ORDER", "ORDERING", "RING", "SEED", "STRATEGY")
+
+
 def _germkit_env():
-    """The GERMKIT_* variables, prefix dropped, as sorted (name, value) pairs."""
-    return tuple(sorted((k[8:], v) for k, v in os.environ.items()
-                        if k.startswith("GERMKIT_")))
+    """The documented GERMKIT_* variables that are set, prefix dropped, as
+    sorted (name, value) pairs; no other variable is read."""
+    get = os.environ.get
+    return tuple((name, v) for name in _ENV_NAMES
+                 if (v := get("GERMKIT_" + name)) is not None)
 
 
 @functools.lru_cache(maxsize=8)

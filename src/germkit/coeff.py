@@ -1,11 +1,14 @@
 """Coefficient fields: exact rationals and prime fields.
 
-Scalars are plain Python values so the polynomial engine stays cheap: a
-`fractions.Fraction` in characteristic 0, an int in [0, p) in characteristic
-p. A Field object carries the arithmetic of polynomials. The one exception is
-the reduction kernel of `stdbasis`: it reads each coefficient as an integer
-numerator over a denominator (a residue's denominator is 1), reduces on the
-integers, and hands back Fractions or residues, so no gcd runs per term.
+Scalars are plain Python values so the polynomial engine stays cheap. In
+characteristic 0 a value is an int when it is an integer and a normalized
+`fractions.Fraction` otherwise, never a float and never a Fraction with
+denominator 1, so integral inputs cost int arithmetic alone. In
+characteristic p a value is an int in [0, p). A Field object carries the
+arithmetic of polynomials. The one exception is the reduction kernel of
+`stdbasis`: it reads each coefficient as an integer numerator over a
+denominator (an int's denominator is 1), reduces on the integers, and hands
+back values in this form, so no gcd runs per term.
 """
 
 from fractions import Fraction
@@ -52,37 +55,48 @@ class Field:
         return hash(("germkit.Field", self.characteristic))
 
 
-class RationalField(Field):
-    """The rationals, backed by fractions.Fraction.
+def _canonical(q):
+    """A rational in canonical form: the int itself when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
-    Fraction already keeps values normalized (gcd 1, positive denominator),
-    which is exactly the canonical form we promise externally.
+
+class RationalField(Field):
+    """The rationals: an integral value is an int, any other a Fraction.
+
+    Fraction keeps its values normalized (gcd 1, positive denominator), and
+    every operation returns an integral result as an int, so the form of a
+    value is canonical and equal values compare, hash and print alike. Two
+    ints add, subtract and multiply as ints; div and inv build a Fraction,
+    never int / int, so no float appears.
     """
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)  # a bool becomes 0 or 1
+        if isinstance(x, Fraction):
+            return _canonical(x)
         raise TypeError("cannot coerce %r into QQ" % (x,))
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if s.__class__ is int else _canonical(s)
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if s.__class__ is int else _canonical(s)
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if s.__class__ is int else _canonical(s)
 
     def div(self, a, b):
         if not b:
             raise DivisionByZero("division by zero in QQ")
-        return a / b
+        return _canonical(Fraction(a, b))
 
     def neg(self, a):
         return -a
@@ -90,7 +104,7 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero in QQ")
-        return 1 / a
+        return _canonical(Fraction(1, a))
 
     def to_str(self, a):
         return str(a)

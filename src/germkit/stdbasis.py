@@ -20,9 +20,10 @@ integer numerators over one common denominator each (over a prime field the
 residues themselves, over the denominator 1), and a step over Q is a
 pseudo-division on those integers. A reducer is held once, in that form: a
 new element is made monic by one gcd (one inverse over F_p) on the integers
-its reduction left. Rationals are formed only where inputs enter and results
-leave (_integral and _over), so every value std, normal_form and spoly return
-is the exact one.
+its reduction left. Field values are formed only where inputs enter and
+results leave (_integral and _over), so every value std, normal_form and spoly
+return is the exact one, an int where it is integral. std keeps its minimal
+entries and forms their values when StandardBasis.generators is first read.
 """
 
 import bisect
@@ -363,11 +364,12 @@ def _integral(terms):
 
 
 def _over(terms, den, p):
-    """The field values of integer numerators over den (inverse of _integral)."""
-    if not p:
-        return [(c, Fraction(v, den)) for c, v in terms]
+    """The field values of integer numerators over den (inverse of _integral):
+    over Q an int where den divides the numerator, a Fraction elsewhere."""
     if den == 1:
         return terms
+    if not p:
+        return [(c, Fraction(v, den) if v % den else v // den) for c, v in terms]
     inv = pow(den, p - 2, p)
     return [(c, v * inv % p) for c, v in terms]
 
@@ -881,6 +883,11 @@ class _StdEngine:
 class StandardBasis:
     """Result of std: minimal monic generators plus run statistics.
 
+    The run's minimal entries are kept as they are, and `generators` turns
+    them into polynomials the first time it is read; leading_exponents and
+    the staircase read the entries' leads, so a caller that only counts (as
+    local_vdim's callers do) never builds a generator.
+
     When `jet` is set the basis describes the ideal plus the jet-th power of
     the maximal ideal; leading terms are exact below degree `jet` only, and
     dimension queries go through jet_dimensions (highest_corner accepts the
@@ -895,20 +902,29 @@ class StandardBasis:
     on a basis without counts, build the Staircase.
     """
 
-    def __init__(self, ring, rank, generators, stats, jet=None, counts=None):
+    def __init__(self, ring, rank, entries, stats, jet=None, counts=None):
         self.ring = ring
         self.rank = rank
-        self.generators = tuple(generators)
+        self._entries = tuple(entries)  # the minimal _Entry objects, leading first
+        self._generators = None
         self.stats = stats
         self.jet = jet
         self.counts = counts
         self._staircase = None
 
+    @property
+    def generators(self):
+        if self._generators is None:
+            p = self.ring.field.characteristic
+            self._generators = tuple(_wrap(self.ring, e.values(p), self.rank)
+                                     for e in self._entries)
+        return self._generators
+
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._entries)
 
     @property
     def layout(self):
@@ -916,13 +932,7 @@ class StandardBasis:
 
     def leading_exponents(self):
         """Minimal generators of the leading module: (exponents, component)."""
-        lay = self.layout
-        out = []
-        for g in self.generators:
-            code = g._terms[0][0]
-            comp = lay.component(code) if self.rank is not None else 0
-            out.append((lay.decode_exps(code), comp))
-        return out
+        return [(e.lead_exps, e.comp or 0) for e in self._entries]
 
     def staircase(self):
         if self._staircase is None:
@@ -1006,9 +1016,7 @@ def std(
                 for g in gens])
     kept = engine.minimal_entries()
     engine.stats.millis = int((time.perf_counter() - t0) * 1000)
-    p = ring.field.characteristic
-    gens_out = [_wrap(ring, e.values(p), rank) for e in kept]
-    return StandardBasis(ring, rank, gens_out, engine.stats, jet, engine.counts)
+    return StandardBasis(ring, rank, kept, engine.stats, jet, engine.counts)
 
 
 def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
@@ -1070,9 +1078,8 @@ def is_member(f, basis, ceiling=DEFAULT_CEILING):
     """Membership in the span of a standard basis (weak normal form test)."""
     if f.ring != basis.ring:
         raise RingMismatch("element and basis live in different rings")
-    if not f:
-        return True
-    return not normal_form(f, basis, mode="mora", ceiling=ceiling)
+    _uses_mora("mora", f.ring, ceiling)
+    return not f or not normal_form(f, basis, mode="mora", ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from germkit import parse_poly, parse_ring, std, vdim
-from germkit.cli import main
+from germkit.cli import _germkit_env, main
 
 
 def run(capsys, *argv):
@@ -236,6 +236,22 @@ def test_environment_read_on_every_call(capsys, monkeypatch):
         assert code == 0
         chars.append(json.loads(out)["characteristic"])
     assert chars == [32003, 101]
+
+
+def test_only_documented_environment_variables_are_read(capsys, monkeypatch):
+    argv = ["vdim", "--poly", "x^2", "--poly", "y^3"]
+    monkeypatch.setenv("GERMKIT_RING", "0 (x,y) ds")
+    monkeypatch.setenv("GERMKIT_JSON", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ordering"] == "ds"
+    # a flag wins over its variable
+    code, out, _ = run(capsys, *argv, "--ring", "0 (x,y) ls")
+    assert code == 0 and json.loads(out)["ordering"] == "ls"
+    # an undocumented name is no setting, whatever its value
+    monkeypatch.setenv("GERMKIT_FOO", "bogus")
+    monkeypatch.setenv("GERMKIT_POLY", "x")
+    assert run(capsys, *argv) == (code, out.replace('"ls"', '"ds"'), "")
+    assert sorted(dict(_germkit_env())) == ["JSON", "RING"]
 
 
 VDIM_ARGV = ["vdim", "--ring", "0 (x,y) ds", "--poly", "x^2", "--poly", "y^3"]

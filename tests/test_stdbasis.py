@@ -417,6 +417,15 @@ def test_a_negative_ceiling_is_refused():
     assert normal_form(xy, gens, ceiling=0) == xy
 
 
+def test_is_member_checks_the_ceiling_before_the_zero_shortcut():
+    ring = _ring("ds", names="x,y")
+    basis = std([parse_poly("x^2", ring), parse_poly("y^3", ring)])
+    for f in (ring.zero(), parse_poly("x*y", ring)):
+        with pytest.raises(ParameterOutOfRange, match="ceiling"):
+            is_member(f, basis, ceiling=-1)
+    assert is_member(ring.zero(), basis, ceiling=0)
+
+
 # ---------------------------------------------------------------------------
 # the engine's coefficient arithmetic
 
@@ -820,3 +829,38 @@ def test_local_vdim_of_random_modules_matches_the_dense_oracle():
         assert value == _oracle_vdim(gens, corner + 1, 32003), [str(g) for g in gens]
         checked += 1
     assert checked >= 45, checked
+
+
+def test_local_vdim_builds_no_generators(monkeypatch):
+    # the dimension and the staircase come from the leads the run kept; the
+    # output polynomials are built only when generators is read
+    import germkit.stdbasis as sb
+
+    calls = []
+    over = sb._over
+    monkeypatch.setattr(sb, "_over", lambda *a: calls.append(a) or over(*a))
+    value, basis = local_vdim(ft_germ(8, 8).tjurina_generators())
+    assert (value, basis.jet) == (17, 32)
+    assert calls == []
+    basis.generators
+    assert len(calls) == len(basis)
+
+
+@pytest.mark.parametrize("decl, polys", [
+    ("0 (x,y,z) ds", None),
+    ("0 (x,y) dp", ["2*x^2+4*y", "x*y-1/2"]),
+    ("32003 (x,y) ls", ["x^3+y^5-2*x*y", "3*x*y^2+y^4"]),
+])
+def test_lazy_generators_match_eager_ones(decl, polys):
+    ring = parse_ring(decl)
+    gens = (ft_germ(8, 8, ring).tjurina_generators() if polys is None
+            else [parse_poly(s, ring) for s in polys])
+    eager = std(gens)
+    eager_gens = eager.generators
+    lazy = std(gens)
+    answers = [lazy.leading_exponents(), kbase(lazy), len(lazy)]
+    assert answers == [eager.leading_exponents(), kbase(eager), len(eager)]
+    h = parse_poly("x^4+x*y^3-1/3*y^2" if ring.characteristic == 0 else "x^4+y^2", ring)
+    assert normal_form(h, lazy) == normal_form(h, eager)
+    assert lazy.generators == eager_gens
+    assert list(lazy) == list(eager) == list(eager_gens)
