@@ -461,7 +461,9 @@ def _cmd_bench(args):
             )
             return 1
 
-    records.sort(key=lambda r: (r["input"], r["millis"]))
+    # a stable sort: within an input, the orderings and then the strategies
+    # keep the order they were given in
+    records.sort(key=lambda r: r["input"])
     if args.json:
         print(json.dumps({"records": records, "version": __version__},
                          sort_keys=True))

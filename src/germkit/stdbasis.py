@@ -10,10 +10,15 @@ The work polynomial of a reduction is kept in a dict of terms with a heap of
 its codes, so that long reductions against short reducers pay per step only
 for the terms the reducer adds, never a merge with the whole remainder. A
 step is one pass over the reducer tail: each code is shifted, its numerator
-scaled and the result added to the dict, with no intermediate list. Under a
-jet's degree bound the terms that survive are a suffix of the ascending tail,
-found by one bisection against a code cut, and exponent overflow is one test
-of the tail's per-variable maximum exponents.
+scaled and the result added to the dict, with no intermediate list and no
+reduction mod p; residues are reduced when they are read, and a code that
+cancels stays in the dict until it is popped. Under a jet's degree bound the
+terms that survive are a suffix of the ascending tail, found by one
+bisection against a code cut, and exponent overflow is one test of the
+tail's per-variable maximum exponents. A lead whose reducer keeps no tail
+term under the bound is a monomial that the span holds modulo the bound;
+the run records it as dead, and a dead monomial that a later step would
+bring in is dropped on the way, which is not a step.
 
 Reduction is fraction-free: the work polynomial and every reducer hold
 integer numerators over one common denominator each (over a prime field the
@@ -119,59 +124,47 @@ class Stats:
 
 class _WorkPoly:
     """The work polynomial of a reduction: integer numerators over the
-    common denominator `den`, in a dict from code to nonzero numerator, and
-    a max-heap (negated codes) of every code added.
+    common denominator `den`, in a dict from code to numerator, and a
+    max-heap (negated codes) of every code added.
 
     add_shifted is the one way terms come in: a reducer tail is shifted,
     scaled and added term by term, so a reduction step costs the length of
-    the tail and no merge.  A code that cancels leaves the dict but stays in
-    the heap, and is skipped when popped.  Over F_p the numerators are
-    residues in [0, p) and `den` stays 1.
+    the tail and no merge.  Over F_p the numerators are residues, reduced
+    mod p only when read, and `den` stays 1.  A code whose numerator
+    cancels (to 0, or to a multiple of p) stays in the dict and the heap
+    until it is popped, and reading skips it.  A code in `dead`, a set of
+    monomials the span holds modulo the caller's degree bound, is dropped
+    when a tail would bring it in.
     """
 
-    __slots__ = ("terms", "heap", "p", "den")
+    __slots__ = ("terms", "heap", "p", "den", "dead")
 
-    def __init__(self, p, den, terms=()):
+    def __init__(self, p, den, terms=(), dead=frozenset()):
         self.terms = dict(terms)
         self.heap = [-c for c in self.terms]
         heapq.heapify(self.heap)
         self.p = p
         self.den = den
+        self.dead = dead
 
     def add_shifted(self, codes, nums, delta, m):
         """Add m * x^delta * (codes, nums): every code shifted by delta, every
-        numerator times m (mod p over F_p)."""
+        numerator times m, and no shifted code that is new and dead."""
         terms = self.terms
         get = terms.get
         heap = self.heap
         push = heapq.heappush
-        p = self.p
-        if p:
-            for c, v in zip(codes, nums):
-                c += delta
-                g = get(c)
-                if g is None:
-                    terms[c] = m * v % p
-                    push(heap, -c)
+        dead = self.dead
+        for c, v in zip(codes, nums):
+            c += delta
+            g = get(c)
+            if g is None:
+                if c in dead:
                     continue
-                s = (g + m * v) % p
-                if s:
-                    terms[c] = s
-                else:
-                    del terms[c]
-        else:
-            for c, v in zip(codes, nums):
-                c += delta
-                g = get(c)
-                if g is None:
-                    terms[c] = m * v
-                    push(heap, -c)
-                    continue
-                s = g + m * v
-                if s:
-                    terms[c] = s
-                else:
-                    del terms[c]
+                terms[c] = m * v
+                push(heap, -c)
+            else:
+                terms[c] = g + m * v
 
     def rescale(self, a):
         """Multiply every numerator and the denominator by a."""
@@ -181,8 +174,31 @@ class _WorkPoly:
         self.den *= a
 
     def descending(self):
-        """The (code, numerator) terms, leading term first."""
-        return sorted(self.terms.items(), reverse=True)
+        """The nonzero (code, numerator) terms, reduced mod p over F_p,
+        leading term first."""
+        p = self.p
+        if p:
+            return sorted([(c, r) for c, v in self.terms.items() if (r := v % p)],
+                          reverse=True)
+        return sorted([t for t in self.terms.items() if t[1]], reverse=True)
+
+    def top_degree(self, lay):
+        """The largest degree of a nonzero term, or None when there is none.
+        Where the layout finds it at an extreme code, a cancelled code met
+        there leaves the dict and the lookup repeats."""
+        terms = self.terms
+        p = self.p
+        if lay.deg_top:
+            extreme = max if lay.deg_top > 0 else min
+            while terms:
+                c = extreme(terms)
+                v = terms[c]
+                if v % p if p else v:
+                    return lay.degree(c)
+                del terms[c]
+            return None
+        live = [c for c, v in terms.items() if (v % p if p else v)]
+        return lay.max_degree(live) if live else None
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +400,18 @@ def _cut(lay, bound):
     return (lay.key_offsets[0] - bound + 1) << lay.key_shifts[0]
 
 
-def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check):
+def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check, dead=frozenset()):
     """S-polynomial of two monic entries at the lcm code of their leads,
     truncated at the code cut (see _Entry.tail for it and check), as a
-    _WorkPoly; the leads cancel, so only tails are shifted. Codes are affine
-    in the exponents, so lcm_code - lead is the shift."""
+    _WorkPoly with the dead monomials `dead`; the leads cancel, so only
+    tails are shifted. Codes are affine in the exponents, so lcm_code - lead
+    is the shift."""
     di = lcm_code - ei.lead
     dj = lcm_code - ej.lead
     ci, li, ni = ei.tail(di, cut, lay, check)
     cj, lj, nj = ej.tail(dj, cut, lay, check)
     q = gcd(li, lj)
-    out = _WorkPoly(p, li // q * lj)
+    out = _WorkPoly(p, li // q * lj, (), dead)
     out.add_shifted(ci, ni, di, lj // q)
     out.add_shifted(cj, nj, dj, -(li // q))
     return out
@@ -414,10 +431,11 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
     q = gcd(L, H) the work polynomial is multiplied by L/q (when that is not
     1) and -(H/q) * N is added at the shifted codes in one pass
     (add_shifted), which is exact and needs no gcd per term.  Over F_p,
-    L = 1, so a step is the plain -H * N mod p with no gcd at all.  Under a
-    degree bound only the tail's suffix at or above the code cut is added
-    (_Entry.tail), and past a bound of 4096 one test of the tail's maximum
-    exponents guards the packed exponent range.
+    L = 1, so a step adds the plain -H * N with no gcd at all, and the
+    lead is reduced mod p when it is popped.  Under a degree bound only the
+    tail's suffix at or above the code cut is added (_Entry.tail), and past
+    a bound of 4096 one test of the tail's maximum exponents guards the
+    packed exponent range.
 
     `entries` is read-only and in insertion order.  The mode decides which
     divisor of the lead a step reduces by:
@@ -436,6 +454,11 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
       here over `entries` when the caller passes none), so a step stops
       there instead of testing every entry.
     - Otherwise (Buchberger), the oldest divisor.
+
+    Under a cut, a lead whose reducer keeps no tail term joins the
+    bucket's set of dead monomials: x^delta times the reducer is that
+    monomial modulo the bound, so add_shifted may drop it from then on.
+    The bound only falls, so the set stays true for the rest of the run.
 
     Outside tangent-cone mode a dict `cache` may remember each lead code's
     choice as (entry, delta, index of its first tail code at or above the
@@ -464,15 +487,19 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
         top = ranks.top
         shift = ranks.shift
     get = cache.get if cache is not None else {}.get
+    dead = bucket.dead
     seen_all = len(entries)
+    limit = ceiling - counter.reductions  # steps this call may take
     reds = 0
 
     while True:
-        # the lead; codes that cancelled are still in the heap and skipped
+        # the lead; codes that cancelled are popped and skipped
         while heap:
             hcode = -pop(heap)
-            hcoeff = terms.pop(hcode, None)
-            if hcoeff is not None:
+            hcoeff = terms.pop(hcode, 0)
+            if p:
+                hcoeff %= p
+            if hcoeff:
                 break
         else:
             counter.reductions += reds
@@ -503,9 +530,10 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
                         best = e
                         break
             else:
+                top_deg = bucket.top_degree(lay)
                 h_ecart = 0
-                if terms:
-                    h_ecart = max(lay.max_degree(terms) - lay.degree(hcode), 0)
+                if top_deg is not None:
+                    h_ecart = max(top_deg - lay.degree(hcode), 0)
                 best = None
                 for e in scan:
                     if not (hcode - e.lead) & check_mask:
@@ -527,6 +555,8 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
 
             delta = hcode - best.lead
             rc, rden, rn = best.tail(delta, cut, lay, check)
+            if not rc and cut is not None:
+                dead.add(hcode)
             if cache is not None:
                 cache[hcode] = (best, delta, len(best.codes) - len(rc), seen_all)
 
@@ -545,7 +575,7 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
         if s2 > sugar:
             sugar = s2
         reds += 1
-        if reds + counter.reductions > ceiling:
+        if reds > limit:
             counter.reductions += reds
             raise ResourceExhausted(
                 "reduction ceiling of %d elementary steps exceeded" % ceiling
@@ -648,6 +678,9 @@ class _StdEngine:
         # entries ranked for each lead degree under the cut; both are valid
         # while the bound, and with it every entry's tail and ecart, stands
         self.reducers = {}
+        # the monomials the span holds modulo the bound (see _weak_nf); the
+        # bound only falls, so they stay dead for the whole run
+        self.dead = set()
         self.ranks = None if self.cut is None else _Ranks(self.entries, self.lay,
                                                           self.cut, 0)
 
@@ -758,20 +791,30 @@ class _StdEngine:
         # one representative per equal-lcm class; the class dies when another
         # new lcm strictly divides its own (chain), or, when every variable
         # is global, when one of its leads is coprime to the new one
-        # (product: for local leads a divisor can sit above the tail)
+        # (product: for local leads a divisor can sit above the tail).  A
+        # strict divisor has a lower degree, so the classes are taken by
+        # degree and each is tested against the ones of lower degree only
         by_lcm = {}
         for i in new:
             by_lcm.setdefault(lcms[i], []).append(i)
         check = lay.div_check_mask
+        shift = lay.deg_shift  # lay.degree, inlined
+        mask = lay.deg_mask
+        ranked = sorted([((c >> shift) & mask, c) for c in by_lcm])
         survivors = []
-        for lcm_code, members in sorted(by_lcm.items()):
-            chained = any(lj != lcm_code and not (lcm_code - lj) & check for lj in by_lcm)
+        lower = 0  # ranked[:lower] are the classes of lower degree
+        for k, (deg_lcm, lcm_code) in enumerate(ranked):
+            if ranked[lower][0] < deg_lcm:
+                lower = k
+            members = by_lcm[lcm_code]
+            chained = lower and any(not (lcm_code - lj) & check
+                                    for _, lj in ranked[:lower])
             if chained or self.product_applies and any(
                 lcm_code == entries[i].lead + lead - lay.code_one for i in members
             ):
                 self.stats.discarded += len(members)
                 continue
-            survivors.append(members[0])
+            survivors.append((members[0], deg_lcm))
             self.stats.discarded += len(members) - 1
         survivors.sort()
 
@@ -805,10 +848,7 @@ class _StdEngine:
                 elif len(axes) == 1:
                     self.open_axes.discard((c, axes[0]))
                 self._tighten_corner(entry, old)
-        lay_deg = lay.degree
-        for i in survivors:
-            lcm_code = lcms[i]
-            deg_lcm = lay_deg(lcm_code)
+        for i, deg_lcm in survivors:
             if deg_lcm >= self.bound:
                 # every term of the s-polynomial sits at or above the lcm
                 # degree, so it truncates to zero
@@ -825,7 +865,7 @@ class _StdEngine:
                 k0 = deg_lcm
             else:
                 k0 = 0
-            self.pairs[(i, t)] = lcm_code
+            self.pairs[(i, t)] = lcms[i]
             heapq.heappush(self.heap, (k0, self.pair_seq, i, t))
             self.pair_seq += 1
 
@@ -851,7 +891,8 @@ class _StdEngine:
                 continue
             ei = self.entries[i]
             ej = self.entries[j]
-            s_poly = _spoly_terms(ei, ej, lcm_code, lay, p, self.cut, self.bound > 4096)
+            s_poly = _spoly_terms(ei, ej, lcm_code, lay, p, self.cut, self.bound > 4096,
+                                  self.dead)
             sug = max(
                 ei.sugar + deg_lcm - ei.deg,
                 ej.sugar + deg_lcm - ej.deg,
@@ -1061,7 +1102,7 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     if cut is not None:
         init = [t for t in init if t[0] >= cut]
     out, den, _ = _weak_nf(
-        _WorkPoly(p, *_integral(init)),
+        _WorkPoly(p, *_integral(init), set()),
         entries,
         lay,
         p,

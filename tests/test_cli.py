@@ -412,6 +412,27 @@ def test_bench_digests_agree(capsys):
     assert all(r["pairs"] > 0 for r in records)
 
 
+def test_bench_orders_records_by_input_ordering_and_strategy(capsys, monkeypatch):
+    # each run reports less time than the one before, so an order by time
+    # would reverse the grid
+    millis = iter(range(100, 0, -1))
+
+    def fake(label, gens, strategy_text, strategy, ceiling):
+        return {"input": label, "ordering": gens[0].ring.ordering.token(),
+                "strategy": strategy_text, "pairs": 0, "reductions": 0,
+                "millis": next(millis), "digest": "-"}
+
+    monkeypatch.setattr("germkit.cli._bench_one", fake)
+    code, out, err = run(capsys, "bench", "--ring", "0 (x,y,z) ds", "--poly", "x^2",
+                       "--poly", "y^3", "--family", "ft:5,4", "--orderings", "ds,ls",
+                       "--strategies", "sugar;fifo", "--json")
+    assert (code, err) == (0, "")
+    got = [(r["input"], r["ordering"], r["strategy"])
+           for r in json.loads(out)["records"]]
+    assert got == [(label, o, s) for label in ("ft:5,4", "ideal")
+                   for o in ("ds", "ls") for s in ("sugar", "fifo")]
+
+
 def test_bench_block_orderings(capsys):
     code, out, _ = run(
         capsys, "bench", "--ring", "0 (x,y) ds", "--poly", "x^2+y^5", "--poly", "y^3",
@@ -439,7 +460,7 @@ def test_bench_counts_every_jet_rung(capsys):
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 13 + 282 + 426
+    assert record["reductions"] == 13 + 276 + 390
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ oracle.  The corner tightening skips the staircase while some component
 lacks a pure power of some variable, and counts the staircase once and then
 by subtraction; the last tests hold that set against the staircase at every
 call, and a run against one that builds, asks and counts the staircase
-every time.
+every time.  A monomial the engine records as dead is held against an
+entry that deletes it with nothing left below the final bound, and a run
+that drops such monomials against one that records none.
 """
 
 import random
@@ -481,6 +483,60 @@ def test_certifying_rungs_count_no_staircase(run, want, monkeypatch):
     _staircase_calls(monkeypatch, calls)
     run()
     assert len(calls) == want, calls
+
+
+# ---------------------------------------------------------------------------
+# the monomials the engine drops as dead
+
+DEAD_SEED = 20265
+
+
+class _Forgetful(set):
+    """A dead set that records nothing, so no monomial is ever dropped."""
+
+    def add(self, code):
+        pass
+
+
+def test_dead_monomials_are_held_by_an_entry_modulo_the_final_bound(monkeypatch):
+    # a dead code is x^delta times the lead of an entry whose tail, shifted
+    # by delta, lies wholly at or past the bound; dropping such codes moves
+    # no lead and no count
+    rng = random.Random(DEAD_SEED)
+    inputs = [_random_counts_input(rng) for _ in range(150)]
+    engines = []
+    init = sb._StdEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    def forgetful(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.dead = _Forgetful()
+
+    def leads_and_counts(basis):
+        return basis.leading_exponents(), basis.counts
+
+    recorded = runs = 0
+    for gens, jet in inputs:
+        if not gens:
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(sb._StdEngine, "__init__", patched)
+            basis = std(gens, jet=jet)
+        engine = engines[-1]
+        lay, cut = engine.lay, engine.cut
+        for code in engine.dead:
+            assert any(lay.divides(e.lead, code)
+                       and all(c + code - e.lead < cut for c in e.codes)
+                       for e in engine.entries), code
+        recorded += len(engine.dead)
+        runs += bool(engine.dead)
+        with monkeypatch.context() as mp:
+            mp.setattr(sb._StdEngine, "__init__", forgetful)
+            assert leads_and_counts(std(gens, jet=jet)) == leads_and_counts(basis)
+    assert runs >= 60 and recorded >= 1000, (runs, recorded)
 
 
 # ---------------------------------------------------------------------------

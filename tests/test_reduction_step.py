@@ -6,7 +6,9 @@ tail at or above a code cut survives, and exponent overflow is one test of
 the tail's per-variable maximum. These tests hold each shortcut against the
 plain formula it replaces: shift every tail code, keep the terms of degree
 below the bound, add them into a dict, and OR every shifted code against the
-overflow mask. A reducer is made monic on integer numerators, which is held
+overflow mask. The work polynomial reduces its residues mod p and skips
+cancelled codes only when it is read, so the step is compared on the terms
+read from it. A reducer is made monic on integer numerators, which is held
 against scaling the field values by the inverse of the leading coefficient.
 The cut needs total degree, negated, as the top field of a code, which the
 layout's deg_top records; its degree extremes are held against a scan over
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germkit import RingContext
+from germkit import RingContext, normal_form, parse_poly, spoly
 from germkit.errors import ExponentOverflow
 from germkit.coeff import field_for
 from germkit.ring import POSITION_OVER_TERM, _scale
@@ -114,6 +116,31 @@ def test_degree_extremes_match_a_scan(lay):
         assert lay.min_degree(codes) == min(degrees)
 
 
+@pytest.mark.parametrize("lay", [_layout(ring, rank) for ring, rank in CUT_LAYOUTS]
+                         + DEGREE_FIRST + SCANNED)
+@pytest.mark.parametrize("p", [0, 2, 101])
+def test_top_degree_reads_the_nonzero_terms_only(lay, p):
+    # a numerator that cancelled, to 0 or to a multiple of p, is no term;
+    # where the layout reads the degree at an extreme code it drops such a
+    # code from the dict
+    rng = random.Random(SEED + p)
+    module = lay.comp_div_shift is not None
+    dropped = 0
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            code = lay.encode(tuple(rng.randint(0, 9) for _ in range(3)),
+                              rng.randint(1, 3) if module else None)
+            terms[code] = rng.choice([0, 1, -3, 7]) * rng.choice([1, p or 5])
+        live = [c for c, v in terms.items() if (v % p if p else v)]
+        wp = _WorkPoly(p, 1, terms.items())
+        want = lay.max_degree(live) if live else None
+        assert wp.top_degree(lay) == want
+        assert set(live) <= set(wp.terms)
+        dropped += len(wp.terms) < len(terms)
+    assert (dropped > 0) == (lay.deg_top != 0)
+
+
 # ---------------------------------------------------------------------------
 # the fused step against the reference formula
 
@@ -176,14 +203,15 @@ def _reference_step(work, den, entry, delta, h, bound, lay, p):
 
 
 def _fused_step(work, den, entry, delta, h, bound, lay, p):
-    """The step as _weak_nf takes it: the cut tail, one add_shifted."""
+    """The step as _weak_nf takes it: the cut tail, one add_shifted; its
+    terms as they are read, reduced mod p and nonzero."""
     wp = _WorkPoly(p, den, list(work.items()))
     codes, big_l, nums = entry.tail(delta, _cut(lay, bound), lay, bound > 4096)
     q = gcd(big_l, h)
     if q != big_l:
         wp.rescale(big_l // q)
     wp.add_shifted(codes, nums, delta, -(h // q))
-    return wp.terms, wp.den
+    return dict(wp.descending()), wp.den
 
 
 @pytest.mark.parametrize("p", [32003, 0, 2, 101])
@@ -226,6 +254,16 @@ def test_fused_step_matches_the_reference_formula(p):
     assert (rescaled > 0) == (p == 0)
 
 
+@pytest.mark.parametrize("p", [0, 101])
+def test_a_dead_code_is_dropped_only_when_new(p):
+    # codes 10 and 20 are dead: 10 is already a term and keeps adding up,
+    # 20 would be new and is dropped, and 30 comes in
+    wp = _WorkPoly(p, 1, [(10, 4)], {10, 20})
+    wp.add_shifted([7, 17, 27], [1, 2, 3], 3, 5)
+    assert wp.descending() == [(30, 15), (10, 9)]
+    assert sorted(wp.heap) == [-30, -10]
+
+
 @pytest.mark.parametrize("which", range(len(CUT_LAYOUTS)))
 def test_overflow_test_matches_the_or_over_shifted_codes(which):
     ring, rank = CUT_LAYOUTS[which]
@@ -252,3 +290,21 @@ def test_overflow_test_matches_the_or_over_shifted_codes(which):
         else:
             assert not overflows
     assert 0 < raised < 400
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("ordering", ["dp", "ds"])
+def test_a_sum_to_a_multiple_of_p_reads_as_no_term(p, ordering):
+    # the residues a work polynomial adds up are reduced only when read:
+    # y's numerator below sums to 1 - (p + 1) = -p, and in the s-polynomial
+    # to 1 - 1 = 0
+    ring = RingContext(p, ("a", "b", "c", "y", "d"), ordering)
+    u, v, w = (1, 1, 1) if p == 2 else (50, 50, 2)
+    f = parse_poly("a+b+c+y+d", ring)
+    reducers = [parse_poly(text, ring)
+                for text in ("a+%d*y" % u, "b+%d*y" % v, "c+%d*y" % w)]
+    d = parse_poly("d", ring)
+    for got in (normal_form(f, reducers),
+                spoly(parse_poly("a+y+d", ring), parse_poly("a+y", ring))):
+        assert got == d
+        assert all(coeff for _, coeff in got._terms)
