@@ -20,9 +20,11 @@ ordering grammar, each ending at the block that covers the last variable:
 in two variables ds,ls,dp(1),ds(1) is three orderings. JSON dimensions
 (mu, tau, vdim) are integers or "infinite".
 
-A --strategy is a pair selection (sugar, min-lcm-degree, fifo); bench
---strategies takes several, separated by semicolons, and checks them all
-before it runs any. An unknown token is a usage error. The reducer rule
+A --strategy is a pair selection (sugar, min-lcm-degree, fifo): least
+sugar or least lcm degree first, ties to the smaller lcm, or the pairs in
+the order they were made. bench --strategies takes several, separated by
+semicolons, and checks them all before it runs any. An unknown token is a
+usage error. The reducer rule
 follows from the mode, and the chain and product criteria of
 Gebauer-Moeller are no options: every run applies them.
 

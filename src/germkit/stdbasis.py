@@ -66,7 +66,10 @@ PAIR_SELECTIONS = ("sugar", "min-lcm-degree", "fifo")
 class Strategy:
     """The one tuning knob of std; every choice computes the same ideal.
 
-    pair_selection: one of PAIR_SELECTIONS, the key of the pair queue.
+    pair_selection: one of PAIR_SELECTIONS, the key of the pair queue:
+    `sugar` takes the least sugar and `min-lcm-degree` the least lcm degree,
+    each breaking ties by the smaller lcm in the monomial ordering (the
+    normal strategy); `fifo` takes the pairs in the order they were made.
 
     The reducer a step uses is no knob: the mode decides it (see _weak_nf).
     Nor are the Gebauer-Moeller chain and product criteria, which std
@@ -660,8 +663,9 @@ class _StdEngine:
         self.stats = Stats()
         self.entries = []
         self.pairs = {}  # (i, j) -> lcm code
+        # the pair queue: (key, lcm, t, i) for the pair of entry t with an
+        # older entry i; see insert
         self.heap = []
-        self.pair_seq = 0
         self.product_applies = ring.is_global
         self.bound = jet if jet is not None else _HUGE
         self.cut = _cut(self.lay, self.bound)
@@ -788,18 +792,28 @@ class _StdEngine:
         new = [i for i in lcms if entry.codes or entries[i].codes]
         self.stats.pairs += len(new)
 
+        # every term of an s-polynomial sits at or above its lcm's degree, so
+        # a pair whose lcm is at or above the bound truncates to zero; such an
+        # lcm divides only lcms above the bound too, so dropping it first
+        # leaves the chain test below with the same survivors
+        shift = lay.deg_shift  # lay.degree, inlined
+        mask = lay.deg_mask
+        bound = self.bound
+        by_lcm = {}
+        for i in new:
+            c = lcms[i]
+            if (c >> shift) & mask < bound:
+                by_lcm.setdefault(c, []).append(i)
+            else:
+                self.stats.discarded += 1
+
         # one representative per equal-lcm class; the class dies when another
         # new lcm strictly divides its own (chain), or, when every variable
         # is global, when one of its leads is coprime to the new one
         # (product: for local leads a divisor can sit above the tail).  A
         # strict divisor has a lower degree, so the classes are taken by
         # degree and each is tested against the ones of lower degree only
-        by_lcm = {}
-        for i in new:
-            by_lcm.setdefault(lcms[i], []).append(i)
         check = lay.div_check_mask
-        shift = lay.deg_shift  # lay.degree, inlined
-        mask = lay.deg_mask
         ranked = sorted([((c >> shift) & mask, c) for c in by_lcm])
         survivors = []
         lower = 0  # ranked[:lower] are the classes of lower degree
@@ -816,7 +830,6 @@ class _StdEngine:
                 continue
             survivors.append((members[0], deg_lcm))
             self.stats.discarded += len(members) - 1
-        survivors.sort()
 
         # old pairs whose lcm the new lead strictly refines die
         dead = [
@@ -848,26 +861,25 @@ class _StdEngine:
                 elif len(axes) == 1:
                     self.open_axes.discard((c, axes[0]))
                 self._tighten_corner(entry, old)
+        # the queue key: sugar, or lcm degree, then the lcm (codes keep the
+        # ordering, so the smaller lcm goes first: the normal strategy); fifo
+        # and the remaining ties keep the order insert makes the pairs in
+        selection = self.strategy.pair_selection
         for i, deg_lcm in survivors:
-            if deg_lcm >= self.bound:
-                # every term of the s-polynomial sits at or above the lcm
-                # degree, so it truncates to zero
+            if deg_lcm >= self.bound:  # the corner above may have moved it
                 self.stats.discarded += 1
                 continue
-            other = entries[i]
-            sug = max(
-                other.sugar + deg_lcm - other.deg,
-                sugar + deg_lcm - entry.deg,
-            )
-            if self.strategy.pair_selection == "sugar":
-                k0 = sug
-            elif self.strategy.pair_selection == "min-lcm-degree":
+            lcm_code = lcms[i]
+            if selection == "sugar":
+                other = entries[i]
+                k0 = max(other.sugar + deg_lcm - other.deg,
+                         sugar + deg_lcm - entry.deg)
+            elif selection == "min-lcm-degree":
                 k0 = deg_lcm
             else:
-                k0 = 0
+                k0 = lcm_code = 0
             self.pairs[(i, t)] = lcms[i]
-            heapq.heappush(self.heap, (k0, self.pair_seq, i, t))
-            self.pair_seq += 1
+            heapq.heappush(self.heap, (k0, lcm_code, t, i))
 
     def run(self, seeds):
         """Seeds are (integer numerator terms, sugar) pairs."""
@@ -880,7 +892,7 @@ class _StdEngine:
             if terms:
                 self.insert(_monic(terms, p), sugar)
         while self.heap:
-            _, _, i, j = heapq.heappop(self.heap)
+            _, _, j, i = heapq.heappop(self.heap)
             lcm_code = self.pairs.pop((i, j), None)
             if lcm_code is None:
                 continue  # discarded while queued

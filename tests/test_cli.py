@@ -460,7 +460,7 @@ def test_bench_counts_every_jet_rung(capsys):
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 13 + 276 + 390
+    assert record["reductions"] == 13 + 277 + 395
 
 
 # ---------------------------------------------------------------------------

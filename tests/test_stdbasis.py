@@ -40,6 +40,7 @@ from germkit.errors import (
 from germkit.acceptance import _oracle_vdim
 from germkit.coeff import PrimeField, RationalField
 from germkit.ring import POSITION_OVER_TERM
+from germkit import stdbasis
 from germkit.stdbasis import PAIR_SELECTIONS, _basis_corner
 
 SEED = 20259
@@ -502,6 +503,72 @@ def test_least_ecart_rule_keeps_unbounded_tangent_cone_reduction_short():
                                           "x+5/3*x*y*z+5/3*y^2*z", "2*x^2*y+1/2*x*z-x*y*z")]
     basis = std(gens, ceiling=4000)
     assert _lead_set(basis) == [(0, 0, 2), (0, 4, 1), (1, 0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the pair queue
+
+
+def _katsura4_linear_first(char):
+    # the generator order of the benchmark's Katsura ideals
+    gens = _katsura(4, _ring("dp", char, "u0,u1,u2,u3,u4"))
+    return gens[-1:] + gens[:-1], None
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _katsura4_linear_first(32003), id="katsura4-dp-32003"),
+    pytest.param(_ft88_tjurina, id="ft88-tjurina-jet32-ds-q"),
+])
+def test_equal_sugar_pairs_go_smaller_lcm_first(case, monkeypatch):
+    # each pair reduced has the least (sugar, lcm) of the pairs queued then:
+    # codes keep the ordering, so among equal sugars the smaller lcm goes
+    # first (the normal strategy), under local orderings too
+    gens, jet = case()
+    engines = []
+    steps = []
+    init = stdbasis._StdEngine.__init__
+    spoly_terms = stdbasis._spoly_terms
+
+    def recording_init(self, *args):
+        init(self, *args)
+        engines.append(self)
+
+    def recording_spoly_terms(ei, ej, lcm_code, lay, *rest):
+        (engine,) = engines
+
+        def key(a, b, code):
+            d = lay.degree(code)
+            return max(a.sugar + d - a.deg, b.sugar + d - b.deg), code
+
+        entries = engine.entries
+        steps.append((key(ei, ej, lcm_code),
+                      [key(entries[i], entries[j], code)
+                       for (i, j), code in engine.pairs.items()]))
+        return spoly_terms(ei, ej, lcm_code, lay, *rest)
+
+    monkeypatch.setattr(stdbasis._StdEngine, "__init__", recording_init)
+    monkeypatch.setattr(stdbasis, "_spoly_terms", recording_spoly_terms)
+    std(gens, jet=jet)
+    ties = 0
+    for reduced, queued in steps:
+        assert all(reduced <= k for k in queued)
+        ties += any(k[0] == reduced[0] for k in queued)
+    assert ties
+
+
+@pytest.mark.parametrize("pair, linear_first, want", [
+    # breaking sugar ties by the older pair takes 1 438 steps here
+    ("sugar", True, (105, 77, 1275)),
+    ("min-lcm-degree", True, (105, 77, 1275)),
+    # fifo keeps the order insert makes the pairs in: by the newer entry,
+    # then by its partner
+    ("fifo", True, (105, 77, 1438)),
+    ("fifo", False, (171, 137, 1720)),
+])
+def test_pair_queue_counts_on_katsura4(pair, linear_first, want):
+    gens = (_katsura4_linear_first if linear_first else _katsura4)(32003)[0]
+    stats = std(gens, Strategy(pair)).stats
+    assert (stats.pairs, stats.discarded, stats.reductions) == want
 
 
 # ---------------------------------------------------------------------------
