@@ -10,7 +10,6 @@ seeded generator so reruns are reproducible.
 
 import random
 import time
-from dataclasses import dataclass
 
 from .invariants import (
     HypersurfaceGerm,
@@ -30,6 +29,7 @@ from .poincare import (
     reiffen_condition_2,
     wedge,
 )
+from .record import FrozenRecord
 from .ring import order_of
 from .stdbasis import (
     PAIR_SELECTIONS,
@@ -45,13 +45,11 @@ DEFAULT_SEED = 20250819
 ALL_STRATEGIES = tuple(Strategy(p) for p in PAIR_SELECTIONS)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    elapsed: float
-    details: tuple
+class CriterionResult(FrozenRecord):
+    __slots__ = ("number", "title", "passed", "elapsed", "details")
+
+    def __init__(self, number, title, passed, elapsed, details):
+        super().__init__(number, title, passed, elapsed, details)
 
     def line(self):
         return "criterion %d (%s): %s in %.1fs" % (

@@ -39,7 +39,6 @@ lives only in `bench`, whose millis column is expected to vary run to run.
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -397,6 +396,8 @@ def _staircase_digest(ring, basis, value):
     degree-compatible orderings); an infinite one falls back to the sorted
     minimal leading exponents.
     """
+    import hashlib  # only bench digests; importing it at startup loads OpenSSL
+
     h = hashlib.sha256()
     h.update(("p=%d;vars=%s;" % (ring.characteristic, ",".join(ring.variables)))
              .encode())

@@ -7,7 +7,6 @@ the tangent cone. The two parametric families used as primary workloads
 live here as constructors.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .parse import parse_ring
+from .record import FrozenRecord
 from .ring import jacobian_minors, order_of
 from .stdbasis import DEFAULT_CEILING, INFINITE, Staircase, local_vdim, std
 
@@ -92,20 +92,21 @@ class SpaceCurveGerm:
         return "SpaceCurveGerm(%s, %s)" % (self.f, self.g)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(FrozenRecord):
     """Summary of the invariants of one germ.
 
     `quasi_homogeneous` is one of "yes", "no" or "undetermined"; the note
     explains any undetermined verdict. mu and tau may be INFINITE.
     """
 
-    mu: object
-    tau: object
-    multiplicity: int
-    quasi_homogeneous: str
-    characteristic: int
-    note: str = ""
+    __slots__ = (
+        "mu", "tau", "multiplicity", "quasi_homogeneous", "characteristic", "note"
+    )
+
+    def __init__(self, mu, tau, multiplicity, quasi_homogeneous, characteristic,
+                 note=""):
+        super().__init__(mu, tau, multiplicity, quasi_homogeneous, characteristic,
+                         note)
 
     def to_json(self):
         return {

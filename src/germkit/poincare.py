@@ -10,8 +10,6 @@ decided up to a jet order by linear algebra, and the dimension equation
 mu = dim Omega^2 - dim Omega^3.
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     DegreeOverflow,
     NonIsolated,
@@ -26,6 +24,7 @@ from .invariants import (
     _quasihomogeneity_given_mu,
     milnor_space_curve,
 )
+from .record import FrozenRecord
 from .ring import Polynomial, VectorElement
 from .stdbasis import DEFAULT_CEILING, INFINITE, highest_corner, local_vdim
 
@@ -294,13 +293,13 @@ def omega_dimension(f, g, k, *, strategy=None, ceiling=DEFAULT_CEILING):
 # Reiffen's conditions
 
 
-@dataclass(frozen=True)
-class Condition1Result:
+class Condition1Result(FrozenRecord):
     """Outcome of the containment test, truncated at a jet order."""
 
-    verified: bool
-    order: int
-    note: str = ""
+    __slots__ = ("verified", "order", "note")
+
+    def __init__(self, verified, order, note=""):
+        super().__init__(verified, order, note)
 
     def label(self):
         word = "verified-to-order" if self.verified else "refuted-at-order"
@@ -313,14 +312,13 @@ class Condition1Result:
         return out
 
 
-@dataclass(frozen=True)
-class Condition2Result:
+class Condition2Result(FrozenRecord):
     """Outcome of mu = dim Omega^2 - dim Omega^3, with the witnesses."""
 
-    holds: bool
-    mu: int
-    dim_omega2: int
-    dim_omega3: int
+    __slots__ = ("holds", "mu", "dim_omega2", "dim_omega3")
+
+    def __init__(self, holds, mu, dim_omega2, dim_omega3):
+        super().__init__(holds, mu, dim_omega2, dim_omega3)
 
     def to_json(self):
         return {
@@ -490,8 +488,7 @@ def reiffen_condition_2(f, g, *, strategy=None, ceiling=DEFAULT_CEILING):
 # the combined report
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(FrozenRecord):
     """Both Reiffen conditions plus the quasi-homogeneity verdict.
 
     The Poincare complex of the germ is exact precisely when both
@@ -501,11 +498,14 @@ class ExactnessReport:
     germ that is not quasi-homogeneous) visible at a glance.
     """
 
-    condition1: Condition1Result
-    condition2: Condition2Result
-    verdict: str
-    quasi_homogeneous: str
-    characteristic: int
+    __slots__ = (
+        "condition1", "condition2", "verdict", "quasi_homogeneous", "characteristic"
+    )
+
+    def __init__(self, condition1, condition2, verdict, quasi_homogeneous,
+                 characteristic):
+        super().__init__(condition1, condition2, verdict, quasi_homogeneous,
+                         characteristic)
 
     @property
     def mu(self):

@@ -26,7 +26,6 @@ otherwise (lp, mixed orderings, other weights, every module position over
 term). Degree extremes, the ecart and the jet truncation all follow from it.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeff import field_for
@@ -43,6 +42,7 @@ from .errors import (
     ZeroElement,
     ZeroPolynomial,
 )
+from .record import FrozenRecord
 
 _EXP_BITS = 18
 _EXP_LIMIT = 1 << 16
@@ -76,32 +76,29 @@ TERM_OVER_POSITION = "term-over-position"
 POSITION_OVER_TERM = "position-over-term"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(FrozenRecord):
     """One ordering block covering ``size`` consecutive variables."""
 
-    kind: str
-    size: int
-    weights: tuple = None
+    __slots__ = ("kind", "size", "weights")
 
-    def __post_init__(self):
-        if self.kind not in _GLOBAL_KINDS and self.kind not in _LOCAL_KINDS:
-            raise BadOrdering("unknown ordering kind %r" % (self.kind,))
-        if not isinstance(self.size, int) or self.size < 1:
+    def __init__(self, kind, size, weights=None):
+        if kind not in _GLOBAL_KINDS and kind not in _LOCAL_KINDS:
+            raise BadOrdering("unknown ordering kind %r" % (kind,))
+        if not isinstance(size, int) or size < 1:
             raise BadOrdering("block size must be a positive integer")
-        if self.kind in _WEIGHTED_KINDS:
-            w = self.weights
+        if kind in _WEIGHTED_KINDS:
             if (
-                w is None
-                or len(w) != self.size
-                or any(not isinstance(x, int) or x < 1 for x in w)
+                weights is None
+                or len(weights) != size
+                or any(not isinstance(x, int) or x < 1 for x in weights)
             ):
                 raise BadOrdering(
-                    "weighted block needs %d positive integer weights" % self.size
+                    "weighted block needs %d positive integer weights" % size
                 )
-            object.__setattr__(self, "weights", tuple(w))
-        elif self.weights is not None:
+            weights = tuple(weights)
+        elif weights is not None:
             raise BadOrdering("weights apply only to weighted blocks")
+        super().__init__(kind, size, weights)
 
     @property
     def is_global(self):
@@ -116,8 +113,7 @@ class Block:
         return base
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
+class OrderingSpec(FrozenRecord):
     """Block ordering plus the rule for module components.
 
     Blocks partition the variable list in declaration order. The module rule
@@ -125,16 +121,15 @@ class OrderingSpec:
     in both cases a lower component index wins ties.
     """
 
-    blocks: tuple
-    module_rule: str = TERM_OVER_POSITION
+    __slots__ = ("blocks", "module_rule")
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
+    def __init__(self, blocks, module_rule=TERM_OVER_POSITION):
+        blocks = tuple(blocks)
         if not blocks or not all(isinstance(b, Block) for b in blocks):
             raise BadOrdering("ordering needs at least one Block")
-        object.__setattr__(self, "blocks", blocks)
-        if self.module_rule not in (TERM_OVER_POSITION, POSITION_OVER_TERM):
-            raise BadOrdering("unknown module rule %r" % (self.module_rule,))
+        if module_rule not in (TERM_OVER_POSITION, POSITION_OVER_TERM):
+            raise BadOrdering("unknown module rule %r" % (module_rule,))
+        super().__init__(blocks, module_rule)
 
     @property
     def total_size(self):
@@ -153,7 +148,7 @@ class OrderingSpec:
         return ",".join(b.token(with_size) for b in self.blocks)
 
     def with_module_rule(self, rule):
-        return replace(self, module_rule=rule)
+        return OrderingSpec(self.blocks, rule)
 
     def rows(self):
         """Matrix of linear forms realizing the ordering, top row first."""

@@ -34,7 +34,6 @@ entries and forms their values when StandardBasis.generators is first read.
 import bisect
 import heapq
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -50,20 +49,23 @@ from .errors import (
     ZeroElement,
     ZeroPolynomial,
 )
+from .record import FrozenRecord, Record
 from .ring import Polynomial, VectorElement
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
 FIRST_JET = 32  # local_vdim's first jet
 MAX_JET = 4096  # local_vdim's last jet before it runs untruncated
+# the largest common denominator, in bits, of a work polynomial over Q; past
+# it _weak_nf gives up, since reduction over Q can double it every few steps
+MAX_COEFF_BITS = 1 << 16
 _HUGE = 1 << 60
 
 
 PAIR_SELECTIONS = ("sugar", "min-lcm-degree", "fifo")
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(FrozenRecord):
     """The one tuning knob of std; every choice computes the same ideal.
 
     pair_selection: one of PAIR_SELECTIONS, the key of the pair queue:
@@ -76,11 +78,12 @@ class Strategy:
     always applies, since switching one off never made a run faster.
     """
 
-    pair_selection: str = "sugar"
+    __slots__ = ("pair_selection",)
 
-    def __post_init__(self):
-        if self.pair_selection not in PAIR_SELECTIONS:
-            raise ValueError("bad pair selection %r" % (self.pair_selection,))
+    def __init__(self, pair_selection="sugar"):
+        if pair_selection not in PAIR_SELECTIONS:
+            raise ValueError("bad pair selection %r" % (pair_selection,))
+        super().__init__(pair_selection)
 
     @classmethod
     def from_text(cls, text):
@@ -99,12 +102,11 @@ class Strategy:
         return {"pair_selection": self.pair_selection}
 
 
-@dataclass
-class Stats:
-    pairs: int = 0
-    discarded: int = 0
-    reductions: int = 0
-    millis: int = 0
+class Stats(Record):
+    __slots__ = ("pairs", "discarded", "reductions", "millis")
+
+    def __init__(self, pairs=0, discarded=0, reductions=0, millis=0):
+        super().__init__(pairs, discarded, reductions, millis)
 
     def to_json(self):
         return {
@@ -438,7 +440,8 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
     lead is reduced mod p when it is popped.  Under a degree bound only the
     tail's suffix at or above the code cut is added (_Entry.tail), and past
     a bound of 4096 one test of the tail's maximum exponents guards the
-    packed exponent range.
+    packed exponent range.  Over Q a rescale that takes `den` past
+    MAX_COEFF_BITS bits raises ResourceExhausted, as the ceiling does.
 
     `entries` is read-only and in insertion order.  The mode decides which
     divisor of the lead a step reduces by:
@@ -571,6 +574,12 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
             q = gcd(rden, hcoeff)
             if q != rden:
                 bucket.rescale(rden // q)
+                if bucket.den.bit_length() > MAX_COEFF_BITS:
+                    counter.reductions += reds
+                    raise ResourceExhausted(
+                        "coefficient bound of %d bits exceeded over Q"
+                        % MAX_COEFF_BITS
+                    )
             m = -(hcoeff // q)
         if rc:
             bucket.add_shifted(rc, rn, delta, m)

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, job files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import germkit
 from germkit import parse_poly, parse_ring, std, vdim
 from germkit.cli import _germkit_env, main
 
@@ -410,6 +414,28 @@ def test_bench_digests_agree(capsys):
     assert len(records) == 4
     assert len({r["digest"] for r in records}) == 1
     assert all(r["pairs"] > 0 for r in records)
+
+
+def test_importing_the_cli_stays_lean():
+    # every command pays for importing germkit, so the import must not load
+    # what few commands use; a fresh interpreter shows what it loads, and
+    # bench, which alone hashes, still prints README's digest
+    script = (
+        "import json, sys, germkit, germkit.cli\n"
+        "print(json.dumps(sorted({'numpy', 'dataclasses', 'inspect', 'hashlib'}"
+        " & set(sys.modules))))\n"
+        "sys.exit(germkit.cli.main(['bench', '--family', 'ft:5,4', '--json']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, out = proc.stdout.split("\n", 1)
+    assert json.loads(loaded) == []
+    digests = {r["digest"] for r in json.loads(out)["records"]}
+    assert digests == {"fb27c4018f6f8185"}
 
 
 def test_bench_orders_records_by_input_ordering_and_strategy(capsys, monkeypatch):

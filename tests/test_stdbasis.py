@@ -1,6 +1,7 @@
 """Standard basis engine: reduction, bases, staircases, jets."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,19 @@ def test_reduction_ceiling():
     gens = [parse_poly("x*y+z^3", ring), parse_poly("x*z+y*z^2+y^4", ring)]
     with pytest.raises(ResourceExhausted):
         std(gens + [parse_poly("x^2-y^5+z^4", ring)], ceiling=3)
+
+
+def test_coefficient_bound_over_q():
+    # tangent-cone reduction of this pair doubles the bit length of the work
+    # polynomial's denominator about every 10 steps: without the bound step
+    # 170 holds a denominator of 1.96 M bits, and 200 steps take minutes
+    ring = parse_ring("0 (x,y) ds")
+    f = parse_poly("-11*x^2*y+8*x*y^2+5/4*x^3*y-6*x^2*y^3-5*x^3*y^3", ring)
+    g = parse_poly("-2*x-3*x*y^2-3*x*y^3+3*x^2*y^3-4/5*x^3*y^3", ring)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceExhausted, match="coefficient bound of 65536 bits"):
+        std([f, g], ceiling=2000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_a_negative_ceiling_is_refused():
