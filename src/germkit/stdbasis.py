@@ -54,7 +54,9 @@ from .ring import Polynomial, VectorElement
 
 INFINITE = float("inf")
 DEFAULT_CEILING = 10 ** 8
-FIRST_JET = 32  # local_vdim's first jet
+# local_vdim's first jet, unless the generators' pure powers guess higher
+# (see _first_jet); most small inputs certify at it
+FIRST_JET = 32
 MAX_JET = 4096  # local_vdim's last jet before it runs untruncated
 # the largest common denominator, in bits, of a work polynomial over Q; past
 # it _weak_nf gives up, since reduction over Q can double it every few steps
@@ -1370,15 +1372,67 @@ def jet_dimensions(basis):
     return counts, counts[-1] == 0
 
 
+def _first_jet(gens):
+    """The first jet of local_vdim's ladder: a guess from the generators'
+    pure powers. Per component, take the least pure power x_v^a_v among
+    the terms for each variable; the monomial ideal they span has its
+    corner at sum(a_v) - n + 1, and a jet one past it is the guess, the
+    largest over the components without a unit term. When one of those
+    components lacks some variable's pure power there is no guess.
+
+    For a Brieskorn-Pham germ x^a + y^b + z^c the top standard monomial of
+    the Milnor algebra is x^(a-2) y^(b-2) z^(c-2), so the guess is the
+    first jet that certifies. It is only a guess: one too low costs one
+    rung, and one too high is cut back to the corner once the staircase
+    closes (_StdEngine._tighten_corner). It may only raise the first jet
+    above FIRST_JET: on ideals of space curves it falls short of the true
+    corner, and a low first rung is then wasted.
+    """
+    lay = _layout_for(gens[0])
+    rank = _rank_of(gens[0])
+    n = lay.n
+    shift = lay.deg_shift
+    mask = lay.deg_mask
+    exp_shifts = lay.exp_shifts
+    cshift = lay.comp_div_shift
+    least = {}  # component -> {variable: least pure-power exponent}
+    units = set()  # components with a term of degree 0
+    for g in gens:
+        for code, _ in g._terms:
+            d = (code >> shift) & mask
+            c = (code >> cshift) & 0x1FFFF if cshift else 0
+            if not d:
+                units.add(c)
+                continue
+            for v, s in enumerate(exp_shifts):
+                if (code >> s) & 0x3FFFF == d:  # x_v^d
+                    pures = least.setdefault(c, {})
+                    if pures.get(v, d) >= d:
+                        pures[v] = d
+                    break
+    jet = FIRST_JET
+    for c in (0,) if rank is None else range(1, rank + 1):
+        if c in units:
+            continue
+        pures = least.get(c, ())
+        if len(pures) < n:
+            return FIRST_JET
+        jet = max(jet, sum(pures.values()) - n + 2)
+    return min(jet, MAX_JET)
+
+
 def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
     """(vdim, basis) of the span of `generators`, under any ordering.
 
     This is the dimension entry point: it always equals vdim(std(...)).
     Where the first form of the (module) ordering is minus the degree (see
-    std) it runs jets of increasing order, from FIRST_JET, each modulo the
-    jet-th power of the maximal ideal; once the top degree carries no
-    standard monomial the count is exact and is returned with its
-    (jet-truncated) basis, which highest_corner accepts.
+    std) it runs jets of increasing order, each modulo the jet-th power of
+    the maximal ideal; once the top degree carries no standard monomial the
+    count is exact and is returned with its (jet-truncated) basis, which
+    highest_corner accepts. The first jet is FIRST_JET, or higher where the
+    generators' pure powers guess so (_first_jet); each next one is one past
+    the corner of the staircase that the failed rung's leads span, or twice
+    the jet while that staircase is infinite.
     Every other ordering, an all-zero input, or a ladder past MAX_JET gets
     one untruncated run, which decides INFINITE honestly. The returned
     basis's stats cover every run made.
@@ -1387,7 +1441,7 @@ def local_vdim(generators, *, strategy=None, ceiling=DEFAULT_CEILING):
     gens = [g for g in generators if g]
     total = Stats()
     if gens and _layout_for(gens[0]).deg_top == -1:
-        k = FIRST_JET
+        k = _first_jet(gens)
         while k <= MAX_JET:
             basis = std(gens, strategy, ceiling=ceiling, jet=k)
             total.add(basis.stats)

@@ -479,14 +479,25 @@ def test_bench_table_output(capsys):
 
 
 def test_bench_counts_every_jet_rung(capsys):
-    # the Tjurina ideal of this member runs jets 32 -> 64 -> 68
+    # the Tjurina ideal of x^30+y^8+z^5+x*y^3*z^2+y^2*z^3 runs jets 39 -> 78
     code, out, _ = run(
         capsys, "bench", "--ring", "32003 (x,y,z) ds",
-        "--family", "zariski:40,30,8:t=0", "--json",
+        "--poly", "x^30+y^8+z^5+x*y^3*z^2+y^2*z^3", "--poly", "30*x^29+y^3*z^2",
+        "--poly", "8*y^7+3*x*y^2*z^2+2*y*z^3", "--poly", "5*z^4+2*x*y^3*z+3*y^2*z^2",
+        "--json",
     )
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record["reductions"] == 13 + 277 + 395
+    assert record["reductions"] == 113 + 520
+
+
+def test_vdim_past_the_largest_jet(capsys):
+    # the pure powers guess a first jet past MAX_JET; the ladder clamps it,
+    # and the untruncated run after the failed rung decides
+    code, out, _ = run(capsys, "vdim", "--ring", "0 (x,y) ds",
+                       "--poly", "x^4000", "--poly", "y^200")
+    assert code == 0
+    assert out == "800000\n"
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from germkit import (
     ft_germ,
     local_vdim,
     milnor,
+    parse_poly,
     std,
     tjurina,
     zariski_family,
@@ -473,12 +474,16 @@ def _staircase_calls(monkeypatch, calls):
     pytest.param(lambda: tjurina(ft_germ(10, 8)), 0, id="ft108-tjurina"),
     pytest.param(lambda: local_vdim(_omega(10, 8, 2)), 0, id="ft108-omega2"),
     pytest.param(lambda: milnor(HypersurfaceGerm(zariski_family(
-        16, 12, 4, 1, ring=RingContext(32003, ("x", "y", "z"), "ds")))), 1,
+        16, 12, 4, 1, ring=RingContext(32003, ("x", "y", "z"), "ds")))), 0,
         id="zariski16-12-4-t1-milnor"),
+    pytest.param(lambda: milnor(HypersurfaceGerm(parse_poly(
+        "x^200+y^7+x^5*y^3", RingContext(32003, ("x", "y"), "ds")))), 1,
+        id="x200-y7-milnor"),
 ])
 def test_certifying_rungs_count_no_staircase(run, want, monkeypatch):
-    # a certifying rung reads the counts its run kept; the Zariski ladder
-    # counts a staircase once, for the next jet after its failed jet-32 rung
+    # a certifying rung reads the counts its run kept: the Zariski member
+    # certifies at the jet its pure powers guess, and x^200+y^7+x^5*y^3
+    # counts a staircase once, for the next jet after its failed first rung
     calls = []
     _staircase_calls(monkeypatch, calls)
     run()

@@ -707,32 +707,126 @@ def test_local_vdim_drives_jets():
 
 
 def test_local_vdim_stats_cover_every_rung():
-    # the Tjurina ideal of the paper's Zariski member runs jets 32 -> 64 -> 68
+    # this Tjurina ideal's pure powers x^29, y^7, z^4 guess a first jet of
+    # 39, where its leads still span an infinite staircase: jets 39 -> 78
     ring = _ring("ds", char=32003)
-    gens = HypersurfaceGerm(zariski_family(40, 30, 8, 0, ring)).tjurina_generators()
+    germ = HypersurfaceGerm(parse_poly("x^30+y^8+z^5+x*y^3*z^2+y^2*z^3", ring))
+    gens = germ.tjurina_generators()
     value, basis = local_vdim(gens)
-    assert (value, basis.jet) == (8985, 68)
-    rungs = [std(gens, jet=k).stats for k in (32, 64, 68)]
+    assert (value, basis.jet) == (499, 78)
+    rungs = [std(gens, jet=k).stats for k in (39, 78)]
     for name in ("pairs", "discarded", "reductions"):
         assert getattr(basis.stats, name) == sum(getattr(s, name) for s in rungs)
     assert basis.stats.pairs > rungs[-1].pairs
 
 
 def test_next_jet_is_one_past_the_rung_corner():
-    # the leads of the failed jet-32 rung span a finite staircase, whose
-    # corner bounds the true one: the second rung certifies below 64
-    ring = _ring("ds", char=32003)
-    gens = HypersurfaceGerm(zariski_family(16, 12, 4, 1, ring)).jacobian()
-    first = std(gens, jet=32)
+    # the pure powers x^199, y^6 of this Jacobian guess a first jet of 205;
+    # the leads of that failed rung span a finite staircase, whose corner
+    # bounds the true one: the second rung certifies below twice the first
+    ring = _ring("ds", char=32003, names="x,y")
+    gens = HypersurfaceGerm(parse_poly("x^200+y^7+x^5*y^3", ring)).jacobian()
+    first = std(gens, jet=205)
     assert not jet_dimensions(first)[1]
     st = first.staircase()
     assert st.is_finite()
     corner = 1 + max(d for d, c in enumerate(st.counts_by_degree()) if c)
     value, basis = local_vdim(gens)
-    assert value == 891
-    assert basis.jet == corner + 1 < 64
+    assert value == 429  # Kouchnirenko: 2 * 635/2 - 200 - 7 + 1
+    assert basis.jet == corner + 1 < 2 * 205
     second = std(gens, jet=basis.jet)
     assert basis.stats.reductions == first.stats.reductions + second.stats.reductions
+
+
+def _rung_log(monkeypatch):
+    """Record (jet, reductions, pairs) of every std call local_vdim makes."""
+    log = []
+    run = stdbasis.std
+
+    def recording(*args, **kwargs):
+        basis = run(*args, **kwargs)
+        log.append((kwargs.get("jet"), basis.stats.reductions, basis.stats.pairs))
+        return basis
+
+    monkeypatch.setattr(stdbasis, "std", recording)
+    return log
+
+
+@pytest.mark.parametrize("a, b, c", [(20, 15, 9), (40, 3, 3), (12, 12, 13)])
+def test_brieskorn_pham_certifies_in_one_rung(a, b, c, monkeypatch):
+    # the top standard monomial of the Milnor algebra of x^a + y^b + z^c is
+    # x^(a-2) y^(b-2) z^(c-2), so the first jet a+b+c-4 that the pure powers
+    # guess certifies, for the Jacobian and the Tjurina ideal alike
+    ring = _ring("ds", char=32003)
+    germ = HypersurfaceGerm(parse_poly("x^%d+y^%d+z^%d" % (a, b, c), ring))
+    assert a + b + c - 4 > stdbasis.FIRST_JET
+    log = _rung_log(monkeypatch)
+    for gens in (germ.jacobian(), germ.tjurina_generators()):
+        log.clear()
+        value, basis = local_vdim(gens)
+        assert value == (a - 1) * (b - 1) * (c - 1)
+        assert [jet for jet, _, _ in log] == [a + b + c - 4] == [basis.jet]
+
+
+def _omega2(k, l):
+    from germkit import OmegaPresentation
+
+    germ = ft_germ(k, l, RingContext(32003, ("x", "y", "z"), "ds"))
+    return OmegaPresentation(germ.f, germ.g, 2).generators
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(lambda: ft_germ(8, 8).tjurina_generators(), id="ft88-tjurina"),
+    pytest.param(lambda: ft_germ(12, 10).tjurina_generators(), id="ft1210-tjurina"),
+    pytest.param(lambda: _omega2(10, 8), id="ft108-omega2"),
+    # the guess is 32 exactly, and the ladder runs 32 -> 64
+    pytest.param(lambda: HypersurfaceGerm(parse_poly(
+        "x^20+y^10+z^6+x^2*y^2*z^2+x^6*y^2", _ring("ds", char=32003))).jacobian(),
+        id="guess32-milnor"),
+    # no pure power of z: no guess, and the ladder runs to MAX_JET
+    pytest.param(lambda: HypersurfaceGerm(parse_poly(
+        "x^2+y^3+x*y*z", _ring("ds", char=32003))).jacobian()[:2],
+        id="no-guess-infinite"),
+])
+def test_a_guess_at_most_first_jet_keeps_the_ladder(gens, monkeypatch):
+    # the guess may only raise the first jet: where it is absent or at most
+    # FIRST_JET, the ladder is the one forced to start at FIRST_JET
+    gens = gens()
+    assert stdbasis._first_jet(gens) == stdbasis.FIRST_JET
+    log = _rung_log(monkeypatch)
+    want = local_vdim(gens)[0]
+    guessed = log[:]
+    log.clear()
+    monkeypatch.setattr(stdbasis, "_first_jet", lambda gens: stdbasis.FIRST_JET)
+    assert local_vdim(gens)[0] == want
+    assert guessed == log
+    assert guessed[0][0] == stdbasis.FIRST_JET
+
+
+def test_a_guess_above_max_jet_is_clamped(monkeypatch):
+    # the guess 4000 + 200 - 2 + 2 is past MAX_JET: the one rung at MAX_JET
+    # fails, and the untruncated run decides
+    ring = _ring("ds", names="x,y")
+    gens = [parse_poly("x^4000", ring), parse_poly("y^200", ring)]
+    assert stdbasis._first_jet(gens) == stdbasis.MAX_JET
+    log = _rung_log(monkeypatch)
+    value, basis = local_vdim(gens)
+    assert value == 800000 and basis.jet is None
+    assert [jet for jet, _, _ in log] == [stdbasis.MAX_JET, None]
+
+
+def test_module_guess_needs_every_pure_power_per_component():
+    # the guess is the largest over the components without a unit term, and
+    # a component that lacks some variable's pure power leaves no guess
+    ring = _ring("ds", char=32003, names="x,y")
+
+    def vec(*parts):
+        return VectorElement.from_components([parse_poly(s, ring) for s in parts])
+
+    first = [vec("x^40", "0"), vec("y^40", "x^50+x*y^60")]
+    assert stdbasis._first_jet(first) == stdbasis.FIRST_JET
+    assert stdbasis._first_jet(first + [vec("0", "y^45")]) == 40 + 40 - 2 + 2 + 15
+    assert stdbasis._first_jet(first + [vec("0", "1+y")]) == 40 + 40 - 2 + 2
 
 
 def test_corner_tightening_on_oversized_jet():
