@@ -429,7 +429,7 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check, dead=frozenset()):
 
 
 def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
-             cache=None, ranks=None):
+             memo=None, ranks=None):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, den, sugar): the descending (code, integer numerator) terms of
     the result over the denominator den (residues over 1 over F_p).
@@ -468,13 +468,13 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
     monomial modulo the bound, so add_shifted may drop it from then on.
     The bound only falls, so the set stays true for the rest of the run.
 
-    Outside tangent-cone mode a dict `cache` may remember each lead code's
-    choice as (entry, delta, index of its first tail code at or above the
-    cut, number of entries seen).  Without a cut it stays valid, since no
-    later entry displaces the oldest divisor; under a cut it serves while
-    no entry has arrived since, and a stale one is ranked again.  The owner
-    clears the cache and replaces `ranks` whenever the bound moves, which
-    is when entry tails and ecarts change.
+    Under Buchberger, and only there, a dict `memo` may remember each lead
+    code's reducer for the whole run: entries only arrive, and a later one
+    never displaces the oldest divisor.  A remembered reducer's whole tail
+    is added, and its exponent range was checked when the same lead code
+    chose it.  Under a cut `ranks` makes the choice instead, and the owner
+    replaces it whenever the bound moves, which is when entry tails and
+    ecarts change.
     """
     extend = mora and bound >= _HUGE
     cut = ranks.cut if ranks is not None else _cut(lay, bound)
@@ -486,7 +486,6 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
     deg_shift = lay.deg_shift
     deg_mask = lay.deg_mask
     if extend:
-        cache = None  # snapshots are local to this call
         scan = sorted(entries, key=_scan_key)
     elif cut is not None:
         if ranks is None:
@@ -494,9 +493,10 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
         lists = ranks.lists
         top = ranks.top
         shift = ranks.shift
-    get = cache.get if cache is not None else {}.get
+    if extend or cut is not None:
+        memo = None
+    get = memo.get if memo is not None else {}.get
     dead = bucket.dead
-    seen_all = len(entries)
     limit = ceiling - counter.reductions  # steps this call may take
     reds = 0
 
@@ -513,15 +513,12 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
             counter.reductions += reds
             return [], bucket.den, sugar
 
-        got = get(hcode)
-        if got is not None and (cut is None or got[3] == seen_all):
-            best, delta, lo, _ = got
+        best = get(hcode)
+        if best is not None:
+            delta = hcode - best.lead
             rc = best.codes
             rn = best.nums
             rden = best.den
-            if lo:
-                rc = rc[lo:]
-                rn = rn[lo:]
         else:
             if ranks is not None:
                 r = (hcode - cut) >> shift
@@ -565,8 +562,8 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
             rc, rden, rn = best.tail(delta, cut, lay, check)
             if not rc and cut is not None:
                 dead.add(hcode)
-            if cache is not None:
-                cache[hcode] = (best, delta, len(best.codes) - len(rc), seen_all)
+            if memo is not None:
+                memo[hcode] = best
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
@@ -689,13 +686,13 @@ class _StdEngine:
         # standard monomials of the minimal leads per degree 0..bound-1,
         # summed over components; None while the staircase is infinite
         self.counts = None
-        # lead code -> the reducer _weak_nf chose for it (see there), and the
-        # entries ranked for each lead degree under the cut; both are valid
-        # while the bound, and with it every entry's tail and ecart, stands
+        # lead code -> the reducer _weak_nf chose for it under Buchberger,
+        # valid for the whole run (see there)
         self.reducers = {}
         # the monomials the span holds modulo the bound (see _weak_nf); the
         # bound only falls, so they stay dead for the whole run
         self.dead = set()
+        # the entries ranked for each lead degree under the cut (see _Ranks)
         self.ranks = None if self.cut is None else _Ranks(self.entries, self.lay,
                                                           self.cut, 0)
 
@@ -738,7 +735,6 @@ class _StdEngine:
         del counts[corner:]
         self.bound = corner
         self.cut = cut = _cut(self.lay, corner)
-        self.reducers.clear()
         lay = self.lay
         top = 0
         for e in self.entries:
@@ -1093,7 +1089,9 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     every term at or above its corner is dropped, from f and throughout: the
     corner's power of the maximal ideal lies in the span, so the result
     still differs from f by an element of the span and is zero exactly for
-    its members.
+    its members.  A jet-truncated basis whose counts do not certify its
+    corner is refused with ValueError: its generators need not lie in the
+    span, and it bounds nothing.
     """
     ring = f.ring
     rank = _rank_of(f)
@@ -1102,7 +1100,9 @@ def normal_form(f, reducers, mode="auto", ceiling=DEFAULT_CEILING):
     if isinstance(reducers, StandardBasis):
         if reducers.layout.deg_top == -1:
             corner = _basis_corner(reducers)
-            if corner is not None and corner != INFINITE:
+            if corner is None:
+                raise ValueError("jet-truncated basis does not certify its corner")
+            if corner != INFINITE:
                 bound = corner
         reducers = list(reducers.generators)
     p = ring.field.characteristic
@@ -1142,8 +1142,7 @@ def is_member(f, basis, ceiling=DEFAULT_CEILING):
     """Membership in the span of a standard basis (weak normal form test)."""
     if f.ring != basis.ring:
         raise RingMismatch("element and basis live in different rings")
-    _uses_mora("mora", f.ring, ceiling)
-    return not f or not normal_form(f, basis, mode="mora", ceiling=ceiling)
+    return not normal_form(f, basis, mode="mora", ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------

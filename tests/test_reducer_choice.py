@@ -5,18 +5,20 @@ Under a degree bound a step reduces by the divisor whose shifted tail keeps
 the fewest terms below the bound, ties going to the older entry.  How many
 terms a divisor keeps depends on the lead only through its degree, so the
 engine ranks its entries once per lead degree and a step takes the first
-divisor in that ranking; a lead code's choice is also remembered until an
-entry arrives.  These tests hold every choice, fresh or remembered, against
-a brute-force minimum, the held rankings against a fresh sort, the identity
-they rest on against the code cut, a cached run against one whose cache
-never stores anything, and local_vdim against the dense linear-algebra
-oracle.  The corner tightening skips the staircase while some component
-lacks a pure power of some variable, and counts the staircase once and then
-by subtraction; the last tests hold that set against the staircase at every
-call, and a run against one that builds, asks and counts the staircase
-every time.  A monomial the engine records as dead is held against an
-entry that deletes it with nothing left below the final bound, and a run
-that drops such monomials against one that records none.
+divisor in that ranking.  Only Buchberger, which reduces by the oldest
+divisor, remembers each lead code's reducer, for the whole run.  These
+tests hold every choice under a cut against a brute-force minimum, the
+held rankings against a fresh sort, the identity they rest on against the
+code cut, a run with the memo against one whose memo never stores
+anything, the memo as empty after runs under a cut, and local_vdim
+against the dense linear-algebra oracle.  The corner tightening skips the
+staircase while some component lacks a pure power of some variable, and
+counts the staircase once and then by subtraction; the last tests hold
+that set against the staircase at every call, and a run against one that
+builds, asks and counts the staircase every time.  A monomial the engine
+records as dead is held against an entry that deletes it with nothing left
+below the final bound, and a run that drops such monomials against one
+that records none.
 """
 
 import random
@@ -44,6 +46,7 @@ from germkit import (
 from germkit.acceptance import _oracle_vdim
 from germkit.errors import ResourceExhausted
 from germkit.stdbasis import PAIR_SELECTIONS
+from test_stdbasis import _katsura4
 
 PRIMES = (32003, 101)
 
@@ -83,7 +86,7 @@ def std_inputs(draw, kinds=("ds", "ls", "module"), jets=st.integers(3, 40)):
 
 
 class _NoStore(dict):
-    """A reducer cache that forgets every choice, so each step scans."""
+    """A reducer memo that stores nothing, so each Buchberger step scans."""
 
     def __setitem__(self, key, value):
         pass
@@ -118,22 +121,6 @@ def _check_choice(engine, hcode, best, steps):
     steps.append(fewest)
 
 
-class _CheckedCache(dict):
-    """A reducer cache that checks each choice it serves: one made before
-    the last entry arrived is not served, so the step ranks again."""
-
-    def __init__(self, engine, steps):
-        super().__init__()
-        self.engine = engine
-        self.steps = steps
-
-    def get(self, hcode):
-        got = super().get(hcode)
-        if got is not None and got[3] == len(self.engine.entries):
-            _check_choice(self.engine, hcode, got[0], self.steps)
-        return got
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(std_inputs())
 def test_the_chosen_divisor_keeps_the_fewest_terms(case):
@@ -142,26 +129,24 @@ def test_the_chosen_divisor_keeps_the_fewest_terms(case):
         return
     choose = sb._choose
     init = sb._StdEngine.__init__
-    for cached in (True, False):
-        engines = []
-        steps = []
+    engines = []
+    steps = []
 
-        def patched(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self.reducers = _CheckedCache(self, steps) if cached else _NoStore()
-            engines.append(self)
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
 
-        def checked(hcode, ranked, check_mask):
-            best = choose(hcode, ranked, check_mask)
-            _check_choice(engines[-1], hcode, best, steps)
-            return best
+    def checked(hcode, ranked, check_mask):
+        best = choose(hcode, ranked, check_mask)
+        _check_choice(engines[-1], hcode, best, steps)
+        return best
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sb._StdEngine, "__init__", patched)
-            mp.setattr(sb, "_choose", checked)
-            basis = std(gens, strategy, jet=jet)
-        # every step's reducer was checked once, ranked or remembered
-        assert len(steps) == basis.stats.reductions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb._StdEngine, "__init__", patched)
+        mp.setattr(sb, "_choose", checked)
+        basis = std(gens, strategy, jet=jet)
+    # under a cut every step ranks, so every step's reducer was checked
+    assert len(steps) == basis.stats.reductions
 
 
 # random layouts whose top field is minus the degree: ds, ls and
@@ -206,8 +191,6 @@ def _run(gens, strategy, jet):
             (basis.stats.pairs, basis.stats.discarded, basis.stats.reductions))
 
 
-# without a jet a local run tightens its bound at every new corner, which
-# must drop every remembered choice
 @settings(max_examples=120, deadline=None, database=None)
 @given(std_inputs(kinds=("ds", "ls", "module", "dp"),
                   jets=st.one_of(st.none(), st.integers(3, 40))))
@@ -219,6 +202,60 @@ def test_the_cache_changes_no_choice(case):
     with pytest.MonkeyPatch.context() as mp:
         _uncached(mp)
         assert _run(gens, strategy, jet) == cached
+
+
+class _Served(dict):
+    """A reducer memo that counts the lookups it serves."""
+
+    served = 0
+
+    def get(self, hcode):
+        got = super().get(hcode)
+        if got is not None:
+            self.served += 1
+        return got
+
+
+@pytest.mark.parametrize("char", (32003, 0))
+def test_the_memo_serves_katsura4_and_changes_no_choice(char, monkeypatch):
+    # Buchberger without a cut: the memo serves most steps here, which the
+    # random draws above need not show
+    gens = _katsura4(char)[0]
+    memos = []
+    init = sb._StdEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.reducers = _Served()
+        memos.append(self.reducers)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sb._StdEngine, "__init__", counted)
+        remembered = _run(gens, Strategy(), None)
+    assert remembered is not None
+    steps = remembered[1][2]
+    assert 2 * memos[-1].served > steps, (memos[-1].served, steps)
+    with monkeypatch.context() as mp:
+        _uncached(mp)
+        assert _run(gens, Strategy(), None) == remembered
+
+
+@pytest.mark.parametrize("jet", (20, None), ids=("jet20", "no-jet"))
+def test_nothing_is_remembered_under_a_cut(jet, monkeypatch):
+    # under a cut every step ranks afresh, also after the bound tightens
+    # to the corner (5 here)
+    engines = []
+    init = sb._StdEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(sb._StdEngine, "__init__", patched)
+    basis = std(ft_germ(5, 4).tjurina_generators(), jet=jet)
+    engine = engines[-1]
+    assert engine.bound == 5 and basis.stats.reductions > 0
+    assert not engine.reducers
 
 
 @pytest.mark.parametrize("p", PRIMES)

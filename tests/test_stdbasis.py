@@ -654,6 +654,30 @@ def test_normal_form_cuts_at_the_corner_of_a_finite_staircase():
     assert not is_member(z, basis)
 
 
+def test_an_uncertified_jet_basis_is_refused():
+    # cut at jet 32, x - y^40 is x, which is not in the ideal; the counts of
+    # the truncated staircase do not certify a corner, so nothing bounds the
+    # reduction and the basis is refused, even for the zero element
+    ring = _ring("ds", 32003, names="x,y")
+    f = parse_poly("x-y^40", ring)
+    x = parse_poly("x", ring)
+    truncated = std([f], jet=32)
+    for query in (normal_form, is_member):
+        for g in (x, ring.zero()):
+            with pytest.raises(ValueError, match="does not certify"):
+                query(g, truncated)
+    assert not is_member(x, std([f]))
+    # a certified jet basis answers as the untruncated basis does
+    gens = [f, parse_poly("y^45", ring)]
+    _, certified = local_vdim(gens)
+    assert certified.jet is not None
+    full = std(gens)
+    for text in ("x", "y^44", "y^45", "x*y^3-y^43", "x+y^44"):
+        g = parse_poly(text, ring)
+        assert normal_form(g, certified) == normal_form(g, full)
+        assert is_member(g, certified) == is_member(g, full)
+
+
 def test_euler_relation_membership():
     ring = _ring("ds", names="x,y")
     jacobian = std([parse_poly("3*x^2", ring), parse_poly("5*y^4", ring)])
