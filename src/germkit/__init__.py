@@ -1,9 +1,10 @@
 """germkit: standard bases in local and global monomial orderings, with
 singularity invariants of hypersurface and space-curve germs.
 
-The kernel computes standard bases by Buchberger's algorithm under global
-orderings and by Mora's tangent-cone reduction under local and mixed ones,
-over the rationals or a prime field. On top of it sit Milnor and Tjurina
+The kernel computes standard bases by Buchberger's algorithm in signature
+form under global orderings, returning the reduced basis, and by Mora's
+tangent-cone reduction under local and mixed ones, over the rationals or a
+prime field. On top of it sit Milnor and Tjurina
 numbers, multiplicities, quasi-homogeneity tests, and the exactness of the
 Poincare complex of a space-curve germ, plus a small text front end and a
 command-line interface.

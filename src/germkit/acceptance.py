@@ -281,7 +281,7 @@ def criterion_5_engine_properties(rng):
             return False, ["ordering %s: %s" % (tok, bad)]
     details.append("(a) ordering axioms hold on 10^4 pairs for %d kinds" % len(kinds))
 
-    # (b) Buchberger vs Mora on random global ideals
+    # (b) Buchberger (the signature loop) vs Mora on random global ideals
     for i in range(100):
         n = rng.choice([2, 3])
         ring = parse_ring("ring 32003 (%s) dp" % ",".join("xyz"[:n]))

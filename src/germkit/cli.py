@@ -20,13 +20,14 @@ ordering grammar, each ending at the block that covers the last variable:
 in two variables ds,ls,dp(1),ds(1) is three orderings. JSON dimensions
 (mu, tau, vdim) are integers or "infinite".
 
-A --strategy is a pair selection (sugar, min-lcm-degree, fifo): least
-sugar or least lcm degree first, ties to the smaller lcm, or the pairs in
-the order they were made. bench --strategies takes several, separated by
-semicolons, and checks them all before it runs any. An unknown token is a
-usage error. The reducer rule
-follows from the mode, and the chain and product criteria of
-Gebauer-Moeller are no options: every run applies them.
+A --strategy is the pair selection of tangent-cone runs (sugar,
+min-lcm-degree, fifo): least sugar or least lcm degree first, ties to the
+smaller lcm, or the pairs in the order they were made. Under a global
+ordering std takes its J-pairs in signature order whatever the strategy.
+bench --strategies takes several, separated by semicolons, and checks them
+all before it runs any. An unknown token is a usage error. The reducer
+rule follows from the mode, and the chain and product criteria of
+Gebauer-Moeller are no options: every tangent-cone run applies them.
 
 Every flag has a GERMKIT_* environment variable fallback (GERMKIT_RING,
 GERMKIT_ORDERING, GERMKIT_STRATEGY, GERMKIT_CHAR, GERMKIT_ORDER,
@@ -114,7 +115,9 @@ def _build_parser(env):
     common.add_argument("--char", type=int, default=env.get("CHAR"), metavar="P",
                         help="characteristic override")
     common.add_argument("--strategy", default=env.get("STRATEGY"), metavar="OPTS",
-                        help="pair selection: %s" % "|".join(PAIR_SELECTIONS))
+                        help="pair selection of tangent-cone runs (global "
+                        "orderings run in signature order): %s"
+                        % "|".join(PAIR_SELECTIONS))
     # string defaults go through type=int, so a bad variable is a usage error
     common.add_argument("--ceiling", type=int,
                         default=env.get("CEILING", str(DEFAULT_CEILING)),

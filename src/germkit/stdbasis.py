@@ -1,6 +1,8 @@
 """Standard bases for ideals and submodules in any monomial ordering.
 
-Global orderings use Buchberger reduction; local and mixed orderings use the
+Global orderings take Buchberger's algorithm in signature form (GVW: Gao,
+Volny and Wang), which sees the syzygies that make S-polynomials reduce to
+zero, and return the reduced basis.  Local and mixed orderings use the
 tangent-cone method: an ecart-guided weak normal form in which the work
 polynomial itself joins the reducer set whenever every eligible reducer has
 a larger ecart. That self-extension is what makes reduction terminate in
@@ -70,14 +72,18 @@ PAIR_SELECTIONS = ("sugar", "min-lcm-degree", "fifo")
 class Strategy(FrozenRecord):
     """The one tuning knob of std; every choice computes the same ideal.
 
-    pair_selection: one of PAIR_SELECTIONS, the key of the pair queue:
-    `sugar` takes the least sugar and `min-lcm-degree` the least lcm degree,
-    each breaking ties by the smaller lcm in the monomial ordering (the
-    normal strategy); `fifo` takes the pairs in the order they were made.
+    pair_selection: one of PAIR_SELECTIONS, the key of the pair queue of a
+    tangent-cone run (local and mixed orderings, and mode 'mora'): `sugar`
+    takes the least sugar and `min-lcm-degree` the least lcm degree, each
+    breaking ties by the smaller lcm in the monomial ordering (the normal
+    strategy); `fifo` takes the pairs in the order they were made.  Under a
+    global ordering std takes its J-pairs in signature order, so every
+    strategy runs alike there (see _signature_basis).
 
     The reducer a step uses is no knob: the mode decides it (see _weak_nf).
-    Nor are the Gebauer-Moeller chain and product criteria, which std
-    always applies, since switching one off never made a run faster.
+    Nor are the Gebauer-Moeller chain and product criteria, which every
+    tangent-cone run applies, since switching one off never made a run
+    faster.
     """
 
     __slots__ = ("pair_selection",)
@@ -105,6 +111,11 @@ class Strategy(FrozenRecord):
 
 
 class Stats(Record):
+    """The work of a run: pairs formed, pairs discarded by a criterion or
+    the degree bound, elementary reduction steps, and milliseconds.  Under
+    a global ordering the pairs are the J-pairs formed and the steps
+    include the interreduction (see _signature_basis)."""
+
     __slots__ = ("pairs", "discarded", "reductions", "millis")
 
     def __init__(self, pairs=0, discarded=0, reductions=0, millis=0):
@@ -225,6 +236,10 @@ class _Entry:
         "den",
         "nums",
         "rmax",
+        # the signature (code, index) of an element of the signature loop,
+        # set by _signature_basis; other runs leave both unset
+        "sig",
+        "idx",
     )
 
     def __init__(self, monic, lay, seq, sugar=None, ecart_=None):
@@ -429,10 +444,12 @@ def _spoly_terms(ei, ej, lcm_code, lay, p, cut, check, dead=frozenset()):
 
 
 def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
-             memo=None, ranks=None):
+             ranks=None, sig=None, full=False):
     """Reduce the _WorkPoly `bucket` until its lead is irreducible; returns
     (terms, den, sugar): the descending (code, integer numerator) terms of
-    the result over the denominator den (residues over 1 over F_p).
+    the result over the denominator den (residues over 1 over F_p).  With
+    `full` set (Buchberger only) an irreducible lead is kept and reduction
+    goes on below it, to the full normal form.
 
     A step cancels the lead numerator H against a reducer tail N/L: with
     q = gcd(L, H) the work polynomial is multiplied by L/q (when that is not
@@ -461,20 +478,18 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
       the ranking that `ranks` holds for the lead's degree (_Ranks, built
       here over `entries` when the caller passes none), so a step stops
       there instead of testing every entry.
-    - Otherwise (Buchberger), the oldest divisor.
+    - Otherwise (Buchberger), the oldest divisor.  Given the signature
+      `sig` of the work polynomial (see _signature_basis), the oldest
+      divisor whose signature times the quotient is below `sig`, so that
+      the signature stays; when there is none but one whose multiplied
+      signature equals `sig`, the result is dropped and None returned.
 
     Under a cut, a lead whose reducer keeps no tail term joins the
     bucket's set of dead monomials: x^delta times the reducer is that
     monomial modulo the bound, so add_shifted may drop it from then on.
     The bound only falls, so the set stays true for the rest of the run.
-
-    Under Buchberger, and only there, a dict `memo` may remember each lead
-    code's reducer for the whole run: entries only arrive, and a later one
-    never displaces the oldest divisor.  A remembered reducer's whole tail
-    is added, and its exponent range was checked when the same lead code
-    chose it.  Under a cut `ranks` makes the choice instead, and the owner
-    replaces it whenever the bound moves, which is when entry tails and
-    ecarts change.
+    The owner replaces `ranks` whenever the bound moves, which is when
+    entry tails and ecarts change.
     """
     extend = mora and bound >= _HUGE
     cut = ranks.cut if ranks is not None else _cut(lay, bound)
@@ -493,12 +508,10 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
         lists = ranks.lists
         top = ranks.top
         shift = ranks.shift
-    if extend or cut is not None:
-        memo = None
-    get = memo.get if memo is not None else {}.get
     dead = bucket.dead
     limit = ceiling - counter.reductions  # steps this call may take
     reds = 0
+    done = []  # the irreducible leads kept, under `full`
 
     while True:
         # the lead; codes that cancelled are popped and skipped
@@ -511,59 +524,63 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
                 break
         else:
             counter.reductions += reds
-            return [], bucket.den, sugar
+            return done, bucket.den, sugar
 
-        best = get(hcode)
-        if best is not None:
-            delta = hcode - best.lead
-            rc = best.codes
-            rn = best.nums
-            rden = best.den
-        else:
-            if ranks is not None:
-                r = (hcode - cut) >> shift
-                if r > top:
-                    r = top
-                ranked = lists.get(r)
-                if ranked is None:
-                    ranked = ranks.build(r)
-                best = _choose(hcode, ranked, check_mask)
-            elif not extend:
-                best = None
-                for e in entries:
-                    if not (hcode - e.lead) & check_mask:
+        if ranks is not None:
+            r = (hcode - cut) >> shift
+            if r > top:
+                r = top
+            ranked = lists.get(r)
+            if ranked is None:
+                ranked = ranks.build(r)
+            best = _choose(hcode, ranked, check_mask)
+        elif not extend:
+            best = None
+            singular = False
+            for e in entries:
+                if not (hcode - e.lead) & check_mask:
+                    if sig is None:
                         best = e
                         break
-            else:
-                top_deg = bucket.top_degree(lay)
-                h_ecart = 0
-                if top_deg is not None:
-                    h_ecart = max(top_deg - lay.degree(hcode), 0)
-                best = None
-                for e in scan:
-                    if not (hcode - e.lead) & check_mask:
+                    esig = (e.sig + hcode - e.lead, e.idx)
+                    if esig < sig:
                         best = e
                         break
-                if best is not None and best.ecart > h_ecart:
-                    # self-extension is what makes unbounded local reduction
-                    # terminate: every cheaper reduction is exhausted, so
-                    # remember the current state for later leads to reduce against
-                    snap = _monic([(hcode, hcoeff), *bucket.descending()], p)
-                    snap = _Entry(snap, lay, _HUGE + len(scan), sugar, h_ecart)
-                    bisect.insort(scan, snap, key=_scan_key)
-
-            if best is None:
-                tail = bucket.descending()
-                tail.insert(0, (hcode, hcoeff))
+                    if esig == sig:
+                        singular = True
+            if singular and best is None:
                 counter.reductions += reds
-                return tail, bucket.den, sugar
+                return None
+        else:
+            top_deg = bucket.top_degree(lay)
+            h_ecart = 0
+            if top_deg is not None:
+                h_ecart = max(top_deg - lay.degree(hcode), 0)
+            best = None
+            for e in scan:
+                if not (hcode - e.lead) & check_mask:
+                    best = e
+                    break
+            if best is not None and best.ecart > h_ecart:
+                # self-extension is what makes unbounded local reduction
+                # terminate: every cheaper reduction is exhausted, so
+                # remember the current state for later leads to reduce against
+                snap = _monic([(hcode, hcoeff), *bucket.descending()], p)
+                snap = _Entry(snap, lay, _HUGE + len(scan), sugar, h_ecart)
+                bisect.insort(scan, snap, key=_scan_key)
 
-            delta = hcode - best.lead
-            rc, rden, rn = best.tail(delta, cut, lay, check)
-            if not rc and cut is not None:
-                dead.add(hcode)
-            if memo is not None:
-                memo[hcode] = best
+        if best is None:
+            done.append((hcode, hcoeff))
+            if full:
+                continue
+            done.extend(bucket.descending())
+            counter.reductions += reds
+            return done, bucket.den, sugar
+
+        delta = hcode - best.lead
+        rc, rden, rn = best.tail(delta, cut, lay, check)
+        if not rc and cut is not None:
+            dead.add(hcode)
 
         # h -= (hcoeff / lc(best)) * quotient * best   (best is monic); the
         # quotient's code offset is the difference of the two lead codes
@@ -573,6 +590,8 @@ def _weak_nf(bucket, entries, lay, p, mora, counter, ceiling, bound, sugar,
             q = gcd(rden, hcoeff)
             if q != rden:
                 bucket.rescale(rden // q)
+                if done:
+                    done = [(c, v * (rden // q)) for c, v in done]
                 if bucket.den.bit_length() > MAX_COEFF_BITS:
                     counter.reductions += reds
                     raise ResourceExhausted(
@@ -661,12 +680,15 @@ def _kept(e, r, s):
 
 
 class _StdEngine:
-    def __init__(self, ring, rank, strategy, mora, ceiling, jet=None):
+    """The tangent-cone run: Mora's weak normal form over a pair queue kept
+    by Gebauer and Moeller's criteria (global orderings take the signature
+    loop instead, see _signature_basis)."""
+
+    def __init__(self, ring, rank, strategy, ceiling, jet=None):
         self.ring = ring
         self.rank = rank
         self.lay = ring.layout if rank is None else ring.module_layout
         self.strategy = strategy
-        self.mora = mora
         self.ceiling = ceiling
         self.stats = Stats()
         self.entries = []
@@ -686,9 +708,6 @@ class _StdEngine:
         # standard monomials of the minimal leads per degree 0..bound-1,
         # summed over components; None while the staircase is infinite
         self.counts = None
-        # lead code -> the reducer _weak_nf chose for it under Buchberger,
-        # valid for the whole run (see there)
-        self.reducers = {}
         # the monomials the span holds modulo the bound (see _weak_nf); the
         # bound only falls, so they stay dead for the whole run
         self.dead = set()
@@ -923,12 +942,11 @@ class _StdEngine:
                 self.entries,
                 lay,
                 p,
-                self.mora,
+                True,
                 self.stats,
                 self.ceiling,
                 self.bound,
                 sug,
-                self.reducers,
                 self.ranks,
             )
             if nf:
@@ -940,8 +958,155 @@ class _StdEngine:
         return sorted(self.minimal, key=lambda e: -e.lead)
 
 
+def _signature_basis(seeds, lay, p, ideal, ceiling, stats):
+    """The reduced basis of the span of `seeds`, (D, integer numerator
+    terms over D) each, under a global ordering, by the signature loop of
+    Gao, Volny and Wang (Math. Comp. 85, 2016); returns its entries,
+    leading lead first, and counts into `stats`.
+
+    An element carries the signature of the module element t*e_i that
+    leads its cofactors: the pair (code of t*lm(f_i), i), compared as a
+    tuple, which is the Schreyer order of the input leads; t*e_i divides
+    s*e_j when i = j and the codes divide.  Elements are taken in
+    increasing signature, the inputs f_i at (lm(f_i), i) first among
+    them.  The J-pair of two elements g and h is t*g with t*lm(g) the lcm
+    of their leads and t*sig(g) the larger of the two multiplied
+    signatures (there is none where these are equal), and one is kept per
+    signature, the one of least lcm.  A J-pair is dropped when it is
+    formed, and again when it is taken, if
+    - the signature of a known syzygy divides its own: of a zero
+      reduction, or, for ideals, the larger of lm(h)*sig(g) and
+      lm(g)*sig(h) where these differ, the lead of the principal syzygy
+      h*u_g - g*u_h (modules have none); or
+    - it is covered: some element g with sig(g) dividing its signature,
+      s = sig / sig(g), has s*lm(g) below its lcm.
+    _weak_nf top-reduces each element taken by the oldest divisor whose
+    multiplied signature is below its own, so the signature stays.  A
+    result that a divisor reduces only at an equal signature is dropped
+    (that divisor's multiple stands for it), a zero result records its
+    signature as a syzygy, and any other joins the elements.
+
+    The elements with minimal leads form a minimal basis.  Each is then
+    reduced in full by the reduced ones of smaller lead, ascending, which
+    gives the reduced basis.  Every J-pair formed counts toward `ceiling`
+    as an elementary step does, so a run whose pairs far outnumber its
+    reductions is bounded too; stats.reductions counts the steps alone.
+    """
+    check = lay.div_check_mask
+    deltas = lay.var_deltas
+    one = lay.code_one
+    work = Stats()  # steps and J-pairs, which the ceiling bounds
+    elements = []  # in arrival order, which is increasing signature
+    # i -> (sig code, lead - sig code) of each element of signature index i
+    by_index = {}
+    syzygies = {}  # i -> the minimal codes of known syzygy signatures
+    queue = {}  # signature -> (lcm code, element, shift) or (lead, None, seed)
+    heap = []
+
+    def divided(c, codes):
+        return any(not (c - s) & check for s in codes)
+
+    def add_syzygy(c, i):
+        held = syzygies.setdefault(i, [])
+        if not divided(c, held):
+            held[:] = [s for s in held if (s - c) & check]
+            held.append(c)
+
+    def dropped(c, i, lcm_code):
+        if divided(c, syzygies.get(i, ())):
+            return True
+        # covered: an element of signature s dividing c, times c - s, has
+        # the lead c + (lead - s), below lcm_code
+        room = lcm_code - c
+        return any(d < room and not (c - s) & check for s, d in by_index[i])
+
+    def join(e):
+        lead = e.lead
+        exps = e.lead_exps
+        if ideal:
+            for h in elements:
+                a = (e.sig + h.lead - one, e.idx)
+                b = (h.sig + lead - one, h.idx)
+                if a != b:
+                    add_syzygy(*max(a, b))
+        elements.append(e)
+        by_index.setdefault(e.idx, []).append((e.sig, lead - e.sig))
+        formed = 0
+        for h in elements[:-1]:
+            if h.comp != e.comp:
+                continue
+            lcm_code = h.lead + sum((a - b) * d for a, b, d in
+                                    zip(exps, h.lead_exps, deltas) if a > b)
+            se = (e.sig + lcm_code - lead, e.idx)
+            sh = (h.sig + lcm_code - h.lead, h.idx)
+            if se == sh:
+                continue
+            formed += 1
+            jsig, src = (se, e) if se > sh else (sh, h)
+            held = queue.get(jsig)
+            if held is not None and held[0] <= lcm_code or dropped(*jsig, lcm_code):
+                stats.discarded += 1
+                continue
+            if held is None:
+                heapq.heappush(heap, jsig)
+            else:
+                stats.discarded += 1  # the J-pair of larger lcm it replaces
+            queue[jsig] = (lcm_code, src, lcm_code - src.lead)
+        stats.pairs += formed
+        work.reductions += formed
+        if work.reductions > ceiling:
+            raise ResourceExhausted(
+                "reduction ceiling of %d elementary steps exceeded" % ceiling)
+
+    for i, (den, terms) in enumerate(seeds):
+        jsig = (terms[0][0], i)
+        queue[jsig] = (terms[0][0], None, (den, terms))
+        heap.append(jsig)
+    heapq.heapify(heap)
+    while heap:
+        jsig = heapq.heappop(heap)
+        lcm_code, src, shift = queue.pop(jsig)
+        if src is None:
+            bucket = _WorkPoly(p, *shift)
+        elif dropped(*jsig, lcm_code):
+            stats.discarded += 1
+            continue
+        else:
+            codes, den, nums = src.tail(shift, None, lay, True)
+            bucket = _WorkPoly(p, den, ((lcm_code, den),))
+            bucket.add_shifted(codes, nums, shift, 1)
+        out = _weak_nf(bucket, elements, lay, p, False, work, ceiling, _HUGE, 0,
+                       sig=jsig)
+        if out is None:
+            continue
+        if not out[0]:
+            add_syzygy(*jsig)
+            continue
+        e = _Entry(_monic(out[0], p), lay, len(elements))
+        e.sig, e.idx = jsig
+        join(e)
+
+    minimal = []
+    for e in elements:
+        if all((e.lead - m.lead) & check for m in minimal):
+            minimal = [m for m in minimal if (m.lead - e.lead) & check]
+            minimal.append(e)
+    reduced = []
+    for e in sorted(minimal, key=lambda e: e.lead):
+        if e.codes:
+            terms, den, _ = _weak_nf(_WorkPoly(p, e.den, zip(e.codes, e.nums)),
+                                     reduced, lay, p, False, work, ceiling, _HUGE,
+                                     e.sugar, full=True)
+            e = _Entry(_monic([(e.lead, den), *terms], p), lay, len(reduced))
+        reduced.append(e)
+    stats.reductions = work.reductions - stats.pairs
+    reduced.reverse()
+    return reduced
+
+
 class StandardBasis:
-    """Result of std: minimal monic generators plus run statistics.
+    """Result of std: monic generators plus run statistics.  Under a global
+    ordering they form the reduced basis, elsewhere a minimal one.
 
     The run's minimal entries are kept as they are, and `generators` turns
     them into polynomials the first time it is read; leading_exponents and
@@ -1027,6 +1192,11 @@ def std(
     mode 'auto' picks Buchberger for global orderings and the tangent-cone
     reduction otherwise; 'buchberger' insists and raises for non-global
     orderings; 'mora' always uses tangent-cone reduction (valid anywhere).
+    Buchberger runs the signature loop (_signature_basis), takes the
+    J-pairs in signature order whatever the strategy, and returns the
+    reduced basis, which is unique.  There every J-pair formed counts
+    toward `ceiling` as an elementary step does.  Tangent-cone runs keep
+    a pair queue ordered by the strategy and return a minimal basis.
 
     Where the first form of the (module) ordering is minus the degree, as
     under ds, ls or ws(1,...,1) and their modules term over position
@@ -1048,6 +1218,14 @@ def std(
     ring = first.ring
     rank = _rank_of(first)
     mora = _uses_mora(mode, ring, ceiling)
+    if jet is not None:
+        if not isinstance(jet, int) or jet < 1:
+            raise ValueError("jet must be a positive integer")
+        if _layout_for(first).deg_top != -1:
+            raise ModeOrderingMismatch(
+                "jet truncation needs an ordering whose first form is minus "
+                "the degree"
+            )
     if not gens:
         return StandardBasis(ring, rank, (), Stats(), jet)
     for g in gens:
@@ -1060,17 +1238,15 @@ def std(
     if strategy is None:
         strategy = Strategy()
 
-    if jet is not None:
-        if not isinstance(jet, int) or jet < 1:
-            raise ValueError("jet must be a positive integer")
-        if _layout_for(first).deg_top != -1:
-            raise ModeOrderingMismatch(
-                "jet truncation needs an ordering whose first form is minus "
-                "the degree"
-            )
-
     t0 = time.perf_counter()
-    engine = _StdEngine(ring, rank, strategy, mora, ceiling, jet)
+    if not mora:
+        stats = Stats()
+        kept = _signature_basis([_integral(g._terms) for g in gens],
+                                _layout_for(first), ring.field.characteristic,
+                                rank is None, ceiling, stats)
+        stats.millis = int((time.perf_counter() - t0) * 1000)
+        return StandardBasis(ring, rank, kept, stats)
+    engine = _StdEngine(ring, rank, strategy, ceiling, jet)
     max_degree = engine.lay.max_degree
     engine.run([(_integral(g._terms)[1], max_degree(code for code, _ in g._terms))
                 for g in gens])

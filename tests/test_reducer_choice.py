@@ -5,13 +5,12 @@ Under a degree bound a step reduces by the divisor whose shifted tail keeps
 the fewest terms below the bound, ties going to the older entry.  How many
 terms a divisor keeps depends on the lead only through its degree, so the
 engine ranks its entries once per lead degree and a step takes the first
-divisor in that ranking.  Only Buchberger, which reduces by the oldest
-divisor, remembers each lead code's reducer, for the whole run.  These
-tests hold every choice under a cut against a brute-force minimum, the
-held rankings against a fresh sort, the identity they rest on against the
-code cut, a run with the memo against one whose memo never stores
-anything, the memo as empty after runs under a cut, and local_vdim
-against the dense linear-algebra oracle.  The corner tightening skips the
+divisor in that ranking.  These tests hold every choice under a cut
+against a brute-force minimum, the held rankings against a fresh sort,
+the identity they rest on against the code cut, a run that holds its
+rankings against one that ranks afresh at every step, the rankings as
+replaced when the bound moves, and local_vdim against the dense
+linear-algebra oracle.  The corner tightening skips the
 staircase while some component lacks a pure power of some variable, and
 counts the staircase once and then by subtraction; the last tests hold
 that set against the staircase at every call, and a run against one that
@@ -46,7 +45,6 @@ from germkit import (
 from germkit.acceptance import _oracle_vdim
 from germkit.errors import ResourceExhausted
 from germkit.stdbasis import PAIR_SELECTIONS
-from test_stdbasis import _katsura4
 
 PRIMES = (32003, 101)
 
@@ -86,20 +84,21 @@ def std_inputs(draw, kinds=("ds", "ls", "module"), jets=st.integers(3, 40)):
 
 
 class _NoStore(dict):
-    """A reducer memo that stores nothing, so each Buchberger step scans."""
+    """Held rankings that store nothing, so each step under a cut ranks
+    afresh."""
 
     def __setitem__(self, key, value):
         pass
 
 
 def _uncached(monkeypatch):
-    init = sb._StdEngine.__init__
+    init = sb._Ranks.__init__
 
     def patched(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.reducers = _NoStore()
+        self.lists = _NoStore()
 
-    monkeypatch.setattr(sb._StdEngine, "__init__", patched)
+    monkeypatch.setattr(sb._Ranks, "__init__", patched)
 
 
 def _surviving(e, delta, cut):
@@ -204,46 +203,11 @@ def test_the_cache_changes_no_choice(case):
         assert _run(gens, strategy, jet) == cached
 
 
-class _Served(dict):
-    """A reducer memo that counts the lookups it serves."""
-
-    served = 0
-
-    def get(self, hcode):
-        got = super().get(hcode)
-        if got is not None:
-            self.served += 1
-        return got
-
-
-@pytest.mark.parametrize("char", (32003, 0))
-def test_the_memo_serves_katsura4_and_changes_no_choice(char, monkeypatch):
-    # Buchberger without a cut: the memo serves most steps here, which the
-    # random draws above need not show
-    gens = _katsura4(char)[0]
-    memos = []
-    init = sb._StdEngine.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.reducers = _Served()
-        memos.append(self.reducers)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(sb._StdEngine, "__init__", counted)
-        remembered = _run(gens, Strategy(), None)
-    assert remembered is not None
-    steps = remembered[1][2]
-    assert 2 * memos[-1].served > steps, (memos[-1].served, steps)
-    with monkeypatch.context() as mp:
-        _uncached(mp)
-        assert _run(gens, Strategy(), None) == remembered
-
-
 @pytest.mark.parametrize("jet", (20, None), ids=("jet20", "no-jet"))
 def test_nothing_is_remembered_under_a_cut(jet, monkeypatch):
-    # under a cut every step ranks afresh, also after the bound tightens
-    # to the corner (5 here)
+    # under a cut every step ranks by the current bound: the rankings are
+    # replaced when the bound tightens to the corner (5 here), and no
+    # reducer is remembered across steps
     engines = []
     init = sb._StdEngine.__init__
 
@@ -255,7 +219,8 @@ def test_nothing_is_remembered_under_a_cut(jet, monkeypatch):
     basis = std(ft_germ(5, 4).tjurina_generators(), jet=jet)
     engine = engines[-1]
     assert engine.bound == 5 and basis.stats.reductions > 0
-    assert not engine.reducers
+    assert engine.ranks.cut == engine.cut
+    assert not hasattr(engine, "reducers")
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -393,6 +393,98 @@ def test_buchberger_against_sympy():
             for p in theirs.polys
         )
         assert _lead_set(ours) == lead, texts
+        # global std returns the reduced basis, which is unique
+        want = sorted(sorted((tuple(m), Fraction(int(c.p), int(c.q))) for m, c in
+                             p.to_field().quo_ground(p.LC(order="grevlex")).terms())
+                      for p in theirs.polys)
+        assert _basis_terms(ours) == want, texts
+
+
+def _basis_terms(basis):
+    """Each generator's (exponents, coefficient) terms, sorted, in sorted
+    order: a basis as data that does not depend on its order."""
+    lay = basis.layout
+    return sorted(sorted((lay.decode_exps(code), Fraction(v)) for code, v in g._terms)
+                  for g in basis)
+
+
+def _assert_reduced(basis):
+    """Monic generators, and no term of one divisible by the lead of
+    another (in the same component, for a module)."""
+    lay = basis.layout
+    leads = [g._terms[0][0] for g in basis]
+    for g in basis:
+        lead, coefficient = g._terms[0]
+        assert coefficient == 1
+        assert [m for m in leads if lay.divides(m, lead)] == [lead]
+        assert not any(lay.divides(m, code) for code, _ in g._terms[1:] for m in leads)
+
+
+def test_global_std_is_one_reduced_basis_under_every_strategy():
+    # the signature loop takes its elements in signature order whatever the
+    # pair selection, and the basis it returns is the reduced one
+    gens = _katsura(4, _ring("dp", 0, "u0,u1,u2,u3,u4"))
+    runs = [std(gens, Strategy(pair)) for pair in PAIR_SELECTIONS]
+    _assert_reduced(runs[0])
+    assert len({tuple(map(str, basis)) for basis in runs}) == 1
+    assert len({(b.stats.pairs, b.stats.discarded, b.stats.reductions)
+                for b in runs}) == 1
+
+
+@pytest.mark.parametrize("char", (32003, 0))
+def test_signature_counts_on_katsura4(char):
+    # (J-pairs formed, J-pairs dropped, elementary steps): a J-pair is
+    # dropped by the syzygy or cover criterion, or for a J-pair of smaller
+    # lcm at its signature, and the steps include the interreduction; the
+    # pair queue of tangent-cone reduction takes (171, 137, 1723) and
+    # (105, 77, 1228) on the same inputs
+    for gens, want in ((_katsura4(char)[0], (120, 105, 487)),
+                       (_katsura4_linear_first(char)[0], (91, 81, 290))):
+        stats = std(gens).stats
+        assert (stats.pairs, stats.discarded, stats.reductions) == want
+
+
+def test_the_ceiling_counts_every_j_pair():
+    # a J-pair formed counts toward the ceiling as a step does, so a run
+    # that forms many pairs and reduces few is bounded too
+    gens = _katsura4(32003)[0]
+    stats = std(gens).stats
+    work = stats.pairs + stats.reductions
+    with pytest.raises(ResourceExhausted, match="ceiling of %d " % (work - 1)):
+        std(gens, ceiling=work - 1)
+    assert std(gens, ceiling=work).stats.reductions == stats.reductions
+
+
+@pytest.mark.parametrize("tok, rule", [
+    ("dp", None), ("Dp", POSITION_OVER_TERM), ("lp", None), ("lp", POSITION_OVER_TERM),
+])
+def test_global_modules_agree_with_tangent_cone_reduction(tok, rule):
+    # the signature loop on rank-2 modules, which have no principal
+    # syzygies: the same leading module as the pair queue, every input in
+    # the span, the s-polynomial criterion, and a reduced basis
+    rng = random.Random(SEED + 7)
+    ring = RingContext(32003, ("x", "y"), tok, module_rule=rule)
+    done = 0
+    for _ in range(40):
+        gens = [VectorElement.from_components(
+            [_random_poly(rng, ring, 2, 3, range(1, 32003)) for _ in range(2)])
+            for _ in range(rng.randint(2, 4))]
+        basis = std(gens)
+        try:
+            mora = std(gens, mode="mora", ceiling=5000)
+        except ResourceExhausted:
+            continue
+        assert _lead_set(basis) == _lead_set(mora)
+        assert not any(normal_form(g, basis) for g in gens)
+        assert not any(normal_form(g, mora, ceiling=5000) for g in basis)
+        out = list(basis)
+        comps = [c for _, c in basis.leading_exponents()]
+        assert not any(normal_form(spoly(out[i], out[j]), basis)
+                       for i in range(len(out)) for j in range(i)
+                       if comps[i] == comps[j])
+        _assert_reduced(basis)
+        done += 1
+    assert done >= 30
 
 
 def test_reduction_ceiling():
@@ -536,7 +628,8 @@ def _katsura4_linear_first(char):
 def test_equal_sugar_pairs_go_smaller_lcm_first(case, monkeypatch):
     # each pair reduced has the least (sugar, lcm) of the pairs queued then:
     # codes keep the ordering, so among equal sugars the smaller lcm goes
-    # first (the normal strategy), under local orderings too
+    # first (the normal strategy), under local orderings too; the pair queue
+    # serves tangent-cone runs only, so the global ideal runs in mode mora
     gens, jet = case()
     engines = []
     steps = []
@@ -562,7 +655,7 @@ def test_equal_sugar_pairs_go_smaller_lcm_first(case, monkeypatch):
 
     monkeypatch.setattr(stdbasis._StdEngine, "__init__", recording_init)
     monkeypatch.setattr(stdbasis, "_spoly_terms", recording_spoly_terms)
-    std(gens, jet=jet)
+    std(gens, jet=jet, mode="mora")
     ties = 0
     for reduced, queued in steps:
         assert all(reduced <= k for k in queued)
@@ -571,17 +664,18 @@ def test_equal_sugar_pairs_go_smaller_lcm_first(case, monkeypatch):
 
 
 @pytest.mark.parametrize("pair, linear_first, want", [
-    # breaking sugar ties by the older pair takes 1 438 steps here
-    ("sugar", True, (105, 77, 1275)),
-    ("min-lcm-degree", True, (105, 77, 1275)),
+    ("sugar", True, (105, 77, 1228)),
+    ("min-lcm-degree", True, (105, 77, 1228)),
     # fifo keeps the order insert makes the pairs in: by the newer entry,
     # then by its partner
-    ("fifo", True, (105, 77, 1438)),
-    ("fifo", False, (171, 137, 1720)),
+    ("fifo", True, (105, 77, 1456)),
+    ("fifo", False, (171, 137, 1723)),
 ])
 def test_pair_queue_counts_on_katsura4(pair, linear_first, want):
+    # tangent-cone reduction of a global ideal: the pair queue, with the
+    # product criterion, since every variable is global
     gens = (_katsura4_linear_first if linear_first else _katsura4)(32003)[0]
-    stats = std(gens, Strategy(pair)).stats
+    stats = std(gens, Strategy(pair), mode="mora").stats
     assert (stats.pairs, stats.discarded, stats.reductions) == want
 
 
@@ -961,6 +1055,19 @@ def test_jets_need_degree_as_the_top_field():
     ws = _ring("ws(1,1)", 0, "x,y")
     value, basis = local_vdim([parse_poly("x^2", ws), parse_poly("y^3", ws)])
     assert value == 6 and basis.jet is not None
+
+
+@pytest.mark.parametrize("tok", ("ds", "dp"))
+def test_jet_is_checked_before_an_all_zero_input_returns(tok):
+    ring = _ring(tok, 32003, "x,y")
+    for jet in (0, -3):
+        with pytest.raises(ValueError, match="jet must be a positive integer"):
+            std([ring.zero()], jet=jet)
+    if tok == "dp":
+        with pytest.raises(ModeOrderingMismatch):
+            std([ring.zero()], jet=4)
+    else:
+        assert len(std([ring.zero()], jet=4)) == 0
 
 
 ORACLE_SEED = 20262
